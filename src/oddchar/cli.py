@@ -1,15 +1,16 @@
 """Batch command-line surface: JSON in, JSON out, deterministic.
 
 Exit codes: 0 success (and every verify check passed), 1 verify sweep with
-failures, 2 usage or domain error, 3 violated uniqueness/existence guarantee
-(never happens on a correct build).
+failures, 2 usage or domain error (including a verify sweep that checks
+nothing), 3 violated uniqueness/existence guarantee (never happens on a
+correct build), 4 a group enumeration would exceed the element cap.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import DomainError, TheoremViolationError
+from .errors import DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import Partition
 from .glu import GLabel, parabolic_star, count_odd_irr_gl
 from .omega import sharp_glu, count_real_odd
@@ -26,6 +27,7 @@ from .verify import SUITES, run_suite
 
 USAGE_EXIT = 2
 VIOLATION_EXIT = 3
+CAP_EXIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,10 +52,15 @@ def parse_pairs(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        fields = dict(item.split("=", 1) for item in chunk.split(":"))
-        if set(fields) != {"s", "l"}:
+        items = [item.split("=", 1) for item in chunk.split(":")]
+        if any(len(item) != 2 for item in items) or {key for key, _ in items} != {"s", "l"}:
             raise DomainError(f"bad pair {chunk!r}: need s=INT:l=PARTS")
-        pairs.append((int(fields["s"]), parse_partition(fields["l"])))
+        fields = dict(items)
+        try:
+            s = int(fields["s"])
+        except ValueError as exc:
+            raise DomainError(f"bad pair {chunk!r}: s must be an integer") from exc
+        pairs.append((s, parse_partition(fields["l"])))
     if not pairs:
         raise DomainError("no pairs given")
     return tuple(pairs)
@@ -166,6 +173,8 @@ def run(argv):
         if args.kappa is not None:
             kwargs["kappas"] = tuple(k for k in args.kappa.split(",") if k)
         report = run_suite(args.suite, **kwargs)
+        if report.checks == 0:
+            raise DomainError(f"verify {args.suite} checked nothing with these parameters")
         emit(report.to_json())
         return 0 if report.failed == 0 else 1
     return 0
@@ -180,6 +189,9 @@ def main(argv=None):
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         code = VIOLATION_EXIT
+    except EnumerationCapError as exc:
+        print(f"enumeration cap: {exc}", file=sys.stderr)
+        code = CAP_EXIT
     sys.exit(code)
 
 

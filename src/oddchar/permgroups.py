@@ -161,6 +161,23 @@ class PermutationGroup:
     def abelianization_order(self):
         return len(self._abelianization[1])
 
+    @cached_property
+    def _class_histogram(self):
+        """Element counts by cycle type and abelianization coordinate.
+
+        Maps each cycle type t to a list whose entry v counts the elements of
+        type t in the coset with F2 coordinate vector v. Built once per group.
+        """
+        coset_of, coords, dim = self._abelianization
+        counts = {}
+        for h in self.elements:
+            t = cycle_type(h)
+            row = counts.get(t)
+            if row is None:
+                row = counts[t] = [0] * (1 << dim)
+            row[coords[coset_of[h]]] += 1
+        return counts
+
     def linear_characters(self):
         """All homomorphisms to {+1, -1}, via the enumerated abelianization."""
         _, _, dim = self._abelianization
@@ -217,10 +234,15 @@ def sylow2_subgroup(n, cap=DEFAULT_CAP):
     """An explicit Sylow 2-subgroup of the symmetric group on n points.
 
     One iterated-wreath tower per 2-adic block of n, blocks laid out
-    consecutively in decreasing size; the order is the full 2-part of n!.
+    consecutively in decreasing size; the order is the full 2-part of n!,
+    2**(n - popcount(n)). An order above cap raises EnumerationCapError here,
+    before any closure is enumerated.
     """
     if n < 1:
         raise DomainError("n must be positive")
+    order = 1 << (n - n.bit_count())
+    if order > cap:
+        raise EnumerationCapError(f"Sylow 2-subgroup of degree {n} has order {order} > cap {cap}")
     gens = []
     offset = 0
     for e in two_adic(n):
@@ -233,21 +255,32 @@ def sylow2_subgroup(n, cap=DEFAULT_CAP):
 def restriction_multiplicities(lam, group):
     """Multiplicity of every linear character in the restriction of lam.
 
-    Computes the exact inner product (1/|H|) sum chi(h) phi(h) over the
-    enumerated elements, with character values from the Murnaghan-Nakayama
-    oracle. Returns (values-on-generators, multiplicity) pairs.
+    Every linear character phi_mask factors through the elementary-abelian
+    abelianization F2^dim, so the exact inner products
+    (1/|H|) sum_h chi(h) phi_mask(h) for all masks at once are one integer
+    Walsh-Hadamard transform of f[v] = sum_t chi(t) count[t][v], where
+    count is the group's cached class histogram (cycle type by coset vector)
+    and chi(t) the Murnaghan-Nakayama value. Returns (values-on-generators,
+    multiplicity) pairs in mask order.
     """
     if lam.n != group.degree:
         raise DomainError(f"partition of {lam.n} vs group of degree {group.degree}")
     order = group.order
-    chi = {}
-    elements = sorted(group.elements)
-    types = [cycle_type(h) for h in elements]
-    for t in set(types):
-        chi[t] = mn_value(lam, t)
+    f = [0] * group.abelianization_order()
+    for t, row in group._class_histogram.items():
+        chi = mn_value(lam, t)
+        if chi:
+            for v, count in enumerate(row):
+                f[v] += chi * count
+    half = 1
+    while half < len(f):
+        for start in range(0, len(f), 2 * half):
+            for i in range(start, start + half):
+                a, b = f[i], f[i + half]
+                f[i], f[i + half] = a + b, a - b
+        half *= 2
     out = []
-    for phi in group.linear_characters():
-        total = sum(chi[t] * phi.value(h) for h, t in zip(elements, types))
+    for phi, total in zip(group.linear_characters(), f):
         if total % order:
             raise DomainError(f"nonintegral inner product {total}/{order}")
         out.append((phi.on_generators, total // order))

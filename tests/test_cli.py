@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from oddchar.cli import main, parse_pairs, parse_partition
-from oddchar.errors import DomainError
+from oddchar import cli
+from oddchar.errors import DomainError, EnumerationCapError
 from oddchar.partitions import Partition
 
 
@@ -35,6 +36,17 @@ def test_parse_pairs():
     assert pairs == ((1, Partition((2, 2, 1))), (0, Partition((1,))))
     with pytest.raises(DomainError):
         parse_pairs("s=1")
+    for text in ("s1", "s=a:l=1"):
+        with pytest.raises(DomainError):
+            parse_pairs(text)
+
+
+@pytest.mark.parametrize("text", ["s1", "s=a:l=1"])
+def test_malformed_pairs_exit_usage(capsys, text):
+    assert run_cli("sharp-glu", "--q", "3", "--pairs", text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad pair") and "Traceback" not in captured.err
 
 
 def test_star_command(capsys):
@@ -102,6 +114,24 @@ def test_verify_command(capsys):
     assert payload["failed"] == 0
     assert payload["passed"] == payload["checks"]
     assert run_cli("verify", "unknown-suite") == 2
+
+
+def test_verify_without_checks_is_usage_error(capsys):
+    assert run_cli("verify", "sharp-oracle", "--max-n", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checked nothing" in captured.err
+
+
+def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
+    def over_cap(suite, **kwargs):
+        raise EnumerationCapError("element cap 200000 exceeded")
+
+    monkeypatch.setattr(cli, "run_suite", over_cap)
+    assert run_cli("verify", "sharp-oracle", "--max-n", "20") == cli.CAP_EXIT == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_jobs_deterministic(capsys):

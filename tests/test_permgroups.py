@@ -3,9 +3,10 @@ import math
 import pytest
 
 from oddchar.errors import DomainError, EnumerationCapError
-from oddchar.characters import degree, is_odd_partition, odd_partitions
-from oddchar.partitions import Partition, two_adic
+from oddchar.characters import degree, is_odd_partition, mn_value, odd_partitions
+from oddchar.partitions import Partition, partitions, two_adic
 from oddchar.permgroups import (
+    DEFAULT_CAP,
     PermutationGroup,
     cycle_type,
     restriction_multiplicities,
@@ -97,3 +98,33 @@ def test_restriction_exact_sum_rule():
             linear_part = sum(m for _, m in mults)
             assert linear_part <= degree(lam)
             assert (degree(lam) - linear_part) % 2 == 0
+
+
+def brute_force_multiplicities(lam, group):
+    """The direct sum (1/|G|) sum_h chi(h) phi(h), one linear character at a time."""
+    elements = sorted(group.elements)
+    chi = [mn_value(lam, cycle_type(h)) for h in elements]
+    out = []
+    for phi in group.linear_characters():
+        total = sum(c * phi.value(h) for c, h in zip(chi, elements))
+        assert total % group.order == 0
+        out.append((phi.on_generators, total // group.order))
+    return out
+
+
+def test_restriction_matches_brute_force_sum():
+    for n in range(1, 9):
+        group = sylow2_subgroup(n)
+        for lam in partitions(n):
+            expected = brute_force_multiplicities(lam, group)
+            assert restriction_multiplicities(lam, group) == expected, (n, lam)
+
+
+def test_sylow_order_checked_against_cap_before_enumeration():
+    # the constructor raises: no group object, so no closure, ever exists
+    assert 1 << (20 - 2) > DEFAULT_CAP
+    with pytest.raises(EnumerationCapError):
+        sylow2_subgroup(20)
+    with pytest.raises(EnumerationCapError):
+        sylow2_subgroup(8, cap=64)
+    assert sylow2_subgroup(8, cap=128).order == 128

@@ -123,18 +123,44 @@ def test_sharp_examples():
     assert [v for v, m in mults if m % 2] == [named]
 
 
+def _odd_constituents(lam, group):
+    """The sharp label on the generators, and the odd-multiplicity linear labels."""
+    named = tuple(sharp_sn(lam).value(g) for g in group.generators)
+    return named, [v for v, m in restriction_multiplicities(lam, group) if m % 2]
+
+
 def test_sharp_block_uniqueness_two_powers():
     """Defining property at 2-power degree: unique odd linear multiplicity."""
-    for n in (2, 4, 8):
+    for n in (2, 4, 8, 16):
         group = sylow2_subgroup(n)
         seen = set()
         for lam in odd_partitions(n):
-            label = sharp_sn(lam)
-            named = tuple(label.value(g) for g in group.generators)
-            odd_at = [v for v, m in restriction_multiplicities(lam, group) if m % 2]
+            named, odd_at = _odd_constituents(lam, group)
             assert odd_at == [named], lam
             seen.add(named)
         assert len(seen) == n
+
+
+# The 14 inputs on which criterion 6 (tests/test_acceptance.py) fails by
+# design: off 2-power n the odd-multiplicity constituent need not be unique.
+SHARP_ORACLE_EXCEPTIONS = {
+    (5, (3, 2)), (5, (2, 2, 1)),
+    (6, (5, 1)), (6, (4, 2)), (6, (3, 3)), (6, (2, 2, 2)), (6, (2, 2, 1, 1)),
+    (6, (2, 1, 1, 1, 1)),
+    (7, (5, 1, 1)), (7, (4, 2, 1)), (7, (3, 3, 1)), (7, (3, 2, 2)), (7, (3, 2, 1, 1)),
+    (7, (3, 1, 1, 1, 1)),
+}
+
+
+def test_sharp_oracle_exception_set_pinned():
+    bad = set()
+    for n in range(2, 9):
+        group = sylow2_subgroup(n)
+        for lam in odd_partitions(n):
+            named, odd_at = _odd_constituents(lam, group)
+            if odd_at != [named]:
+                bad.add((n, lam.parts))
+    assert bad == SHARP_ORACLE_EXCEPTIONS
 
 
 def test_sharp_is_constituent_all_n():
