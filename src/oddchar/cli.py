@@ -116,7 +116,6 @@ def build_parser():
     p.add_argument("--q", help="comma list of prime powers")
     p.add_argument("--kappa", help="comma list drawn from +,-")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", default="json", choices=["json"])
     return parser
 
 

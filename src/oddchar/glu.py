@@ -7,11 +7,14 @@ the symmetric-group side, so everything here is partition combinatorics plus
 modular arithmetic on residues.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as _permutations
+from typing import NamedTuple
 
 from .errors import DomainError, TheoremViolationError
-from .partitions import Partition, nu2, odd_multinomial_order, two_adic
+from .partitions import Partition, nu2, odd_multinomial_order, split_by_digit, two_adic
 from .characters import is_odd_partition, odd_partitions
 from .sym import star_sn
 
@@ -30,30 +33,42 @@ __all__ = [
 ]
 
 
+class KappaQ(NamedTuple):
+    modulus: int  # q - kappa*1, the order of the residue group
+    two: int  # 2-part of the modulus
+    odd: int  # odd part of the modulus
+    p: int  # the characteristic: q is a power of p
+
+
+@cache
+def kappa_q(kappa, q):
+    """The validated data of the family (kappa, q); the one home of its modulus.
+
+    Raises DomainError unless kappa is '+' (linear) or '-' (unitary) and q is
+    a power of an odd prime.
+    """
+    if kappa not in ("+", "-"):
+        raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
+    p = q  # the least prime factor of q, by trial division when q is odd
+    if q >= 3 and q % 2:
+        p = next((d for d in range(3, math.isqrt(q) + 1, 2) if q % d == 0), q)
+    power = p
+    while 1 < power < q:
+        power *= p
+    if q < 3 or q % 2 == 0 or power != q:
+        raise DomainError(f"q={q} is not an odd prime power")
+    mod = q - 1 if kappa == "+" else q + 1
+    two = mod & -mod
+    return KappaQ(mod, two, mod // two, p)
+
+
 def is_prime_power_odd(q):
     """True iff q is a power of an odd prime."""
-    if q < 3 or q % 2 == 0:
+    try:
+        kappa_q("+", q)
+    except DomainError:
         return False
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 2
-    return True  # q itself is an odd prime
-
-
-def char_prime(q):
-    """The prime p with q a power of p."""
-    if not is_prime_power_odd(q):
-        raise DomainError(f"q={q} is not an odd prime power")
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            return p
-        p += 2
-    return q
+    return True
 
 
 @dataclass(frozen=True)
@@ -70,11 +85,7 @@ class GLabel:
     pairs: tuple  # of (residue, Partition)
 
     def __post_init__(self):
-        if self.kappa not in ("+", "-"):
-            raise DomainError(f"kappa must be '+' or '-', got {self.kappa!r}")
-        if not is_prime_power_odd(self.q):
-            raise DomainError(f"q={self.q} is not an odd prime power")
-        mod = self.modulus
+        mod = kappa_q(self.kappa, self.q).modulus
         residues = [s for s, _ in self.pairs]
         if any(not 0 <= s < mod for s in residues):
             raise DomainError(f"residues must lie in [0, {mod})")
@@ -86,7 +97,7 @@ class GLabel:
 
     @property
     def modulus(self):
-        return self.q - 1 if self.kappa == "+" else self.q + 1
+        return kappa_q(self.kappa, self.q).modulus
 
     @property
     def n(self):
@@ -147,8 +158,6 @@ def parabolic_star(label):
         raise DomainError("the parabolic correspondent is defined for kappa='+' only")
     if label.n < 2:
         raise DomainError("need rank n >= 2")
-    if not is_odd_label(label):
-        raise DomainError(f"{label} is not an odd label")
     ordered = canonical_order(label)
     s1, lam1 = ordered[0]
     if lam1.n == 1:
@@ -178,11 +187,7 @@ def enumerate_odd_labels(n, q, kappa):
     """All odd labels of rank n: digit-partitioned sizes, distinct residues, odd parts."""
     if n < 1:
         raise DomainError("n must be positive")
-    if kappa not in ("+", "-"):
-        raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
-    if not is_prime_power_odd(q):
-        raise DomainError(f"q={q} is not an odd prime power")
-    mod = q - 1 if kappa == "+" else q + 1
+    mod = kappa_q(kappa, q).modulus
     out = []
     for grouping in _digit_groupings(two_adic(n)):
         sizes = [sum(1 << e for e in group) for group in grouping]
@@ -233,7 +238,7 @@ def sl_correspondence_data(label):
 def sl_label_census(n, q):
     """Number of odd SL labels: orbits of simultaneous residue translation."""
     labels = enumerate_odd_labels(n, q, "+")
-    mod = q - 1
+    mod = kappa_q("+", q).modulus
     seen = set()
     orbits = 0
     for label in labels:
@@ -262,20 +267,7 @@ def levi_star(label, blocks):
         raise DomainError(f"Levi blocks {blocks} do not have odd index")
     if sum(blocks) != label.n:
         raise DomainError(f"blocks sum to {sum(blocks)}, need {label.n}")
-    if not is_odd_label(label):
-        raise DomainError(f"{label} is not an odd label")
-    omega = sharp_glu(label)
-    owners = {}
-    for idx, k in enumerate(blocks):
-        for e in two_adic(k):
-            owners[e] = idx
-    per_factor = [[] for _ in blocks]
-    for entry in omega.blocks:
-        size = entry[0]
-        per_factor[owners[size.bit_length() - 1]].append(entry)
-    out = []
-    for k, factor_blocks in zip(blocks, per_factor):
-        factor = OmegaLabel(label.kappa, label.q, tuple(factor_blocks))
-        assert factor.n == k
-        out.append(sharp_glu_inverse(factor))
-    return out
+    return [
+        sharp_glu_inverse(OmegaLabel(label.kappa, label.q, factor_blocks))
+        for factor_blocks in split_by_digit(sharp_glu(label).blocks, blocks)
+    ]

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, TheoremViolationError
-from .partitions import HookPartition, Partition, two_adic
+from .partitions import HookPartition, check_two_adic_layout, two_adic
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
-from .glu import GLabel, canonical_order, char_prime, is_odd_label, is_prime_power_odd
+from .glu import GLabel, canonical_order, kappa_q
 
 __all__ = [
     "OmegaLabel",
@@ -38,14 +38,8 @@ class OmegaLabel:
     blocks: tuple  # of (size, residue, HookPartition)
 
     def __post_init__(self):
-        if self.kappa not in ("+", "-"):
-            raise DomainError(f"kappa must be '+' or '-', got {self.kappa!r}")
-        if not is_prime_power_odd(self.q):
-            raise DomainError(f"q={self.q} is not an odd prime power")
-        sizes = tuple(size for size, _, _ in self.blocks)
-        if sizes != tuple(1 << e for e in two_adic(sum(sizes))):
-            raise DomainError(f"block sizes {sizes} are not a 2-adic decomposition")
-        mod = self.modulus
+        mod = kappa_q(self.kappa, self.q).modulus
+        check_two_adic_layout(tuple(size for size, _, _ in self.blocks))
         for size, s, hook in self.blocks:
             if not 0 <= s < mod:
                 raise DomainError(f"residue {s} out of range [0, {mod})")
@@ -54,7 +48,7 @@ class OmegaLabel:
 
     @property
     def modulus(self):
-        return self.q - 1 if self.kappa == "+" else self.q + 1
+        return kappa_q(self.kappa, self.q).modulus
 
     @property
     def n(self):
@@ -101,13 +95,9 @@ class NormalizerLocalLabel:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kappa not in ("+", "-"):
-            raise DomainError(f"kappa must be '+' or '-', got {self.kappa!r}")
-        if not is_prime_power_odd(self.q):
-            raise DomainError(f"q={self.q} is not an odd prime power")
+        _, two, odd, _ = kappa_q(self.kappa, self.q)
         if self.m < 0:
             raise DomainError("m must be nonnegative")
-        two, odd = _split_modulus(self.modulus)
         if not 0 <= self.gamma < two:
             raise DomainError(f"gamma {self.gamma} out of range [0, {two})")
         if not 0 <= self.delta < odd:
@@ -123,23 +113,14 @@ class NormalizerLocalLabel:
 
     @property
     def modulus(self):
-        return self.q - 1 if self.kappa == "+" else self.q + 1
-
-
-def _split_modulus(mod):
-    """(2-part, odd part) of the modulus."""
-    two = mod & -mod
-    return two, mod // two
+        return kappa_q(self.kappa, self.q).modulus
 
 
 def local_to_omega(loc):
     """Fuse (gamma, delta) into one residue and build the hook with leg 2k + j."""
-    mod = loc.modulus
-    two, odd = _split_modulus(mod)
+    _, two, odd, _ = kappa_q(loc.kappa, loc.q)
     # Chinese remainder: s = gamma mod two, s = delta mod odd
-    s = next(
-        x for x in range(mod) if x % two == loc.gamma and x % odd == loc.delta
-    )
+    s = loc.gamma + two * ((loc.delta - loc.gamma) * pow(two, -1, odd) % odd)
     if loc.m == 0:
         return s, HookPartition(1, 0)
     return s, HookPartition(1 << loc.m, 2 * loc.k + loc.j)
@@ -147,8 +128,7 @@ def local_to_omega(loc):
 
 def omega_to_local(kappa, q, s, hook):
     """Inverse of local_to_omega; total on well-formed blocks."""
-    mod = q - 1 if kappa == "+" else q + 1
-    two, odd = _split_modulus(mod)
+    mod, two, odd, _ = kappa_q(kappa, q)
     if not 0 <= s < mod:
         raise DomainError(f"residue {s} out of range [0, {mod})")
     m = hook.m.bit_length() - 1
@@ -168,8 +148,6 @@ def sharp_glu(label):
     the symmetric-group hook coordinates, and stamps its residue on those
     blocks; block ownership is forced by the 2-adic digit condition.
     """
-    if not is_odd_label(label):
-        raise DomainError(f"{label} is not an odd label")
     entries = {}
     for s, lam in canonical_order(label):
         theta = alpha_sn(lam)
@@ -192,9 +170,11 @@ def sharp_glu_inverse(omega):
         lam = alpha_sn_inverse(ThetaLabel(tuple(hooks)))
         pairs.append((s, lam))
     label = GLabel(omega.kappa, omega.q, tuple(pairs))
-    if not is_odd_label(label):
-        raise TheoremViolationError(f"inverse of {omega} is not odd: {label}")
-    if sharp_glu(label) != omega:
+    try:
+        image = sharp_glu(label)
+    except DomainError as exc:
+        raise TheoremViolationError(f"inverse of {omega} is not odd: {label}") from exc
+    if image != omega:
         raise TheoremViolationError(f"round trip failed for {omega}")
     return label
 
@@ -221,8 +201,7 @@ def outer_act(word, x):
     """Apply a word in the outer generators 'F' (s -> s^p) and 'tau' (s -> s^-1)."""
     if isinstance(word, str):
         word = word.split()
-    mod = x.modulus
-    p = char_prime(x.q)
+    mod, _, _, p = kappa_q(x.kappa, x.q)
     exponent = 1
     for gen in word:
         if gen == "F":
@@ -240,7 +219,7 @@ def enumerate_omega_labels(n, q, kappa):
     """The full coordinate space: every residue and hook choice per block."""
     if n < 1:
         raise DomainError("n must be positive")
-    mod = q - 1 if kappa == "+" else q + 1
+    mod = kappa_q(kappa, q).modulus
     sizes = [1 << e for e in two_adic(n)]
     out = []
 

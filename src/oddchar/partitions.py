@@ -150,6 +150,34 @@ def two_adic(n):
     return tuple(e for e in range(n.bit_length() - 1, -1, -1) if (n >> e) & 1)
 
 
+def check_two_adic_layout(sizes):
+    """Raise DomainError unless the tuple sizes is strictly decreasing powers of two.
+
+    Those are exactly the 2-adic blocks of sum(sizes), largest first.
+    """
+    if sizes != tuple(1 << e for e in two_adic(sum(sizes))):
+        raise DomainError(f"block sizes {sizes} are not a 2-adic decomposition")
+
+
+def split_by_digit(entries, sizes):
+    """Share out size-led block entries among factors by binary digit.
+
+    Each entry starts with a 2-power block size 2**e, and goes to the member
+    of sizes whose binary expansion holds the digit e. The sizes must hold
+    pairwise disjoint digits that together are exactly the entries' digits.
+    Returns one tuple of entries per member of sizes, in the same order.
+    """
+    digits = [two_adic(k) for k in sizes]
+    owner = {e: idx for idx, ds in enumerate(digits) for e in ds}
+    entry_digits = [entry[0].bit_length() - 1 for entry in entries]
+    if len(owner) != sum(map(len, digits)) or set(owner) != set(entry_digits):
+        raise DomainError(f"sizes {list(sizes)} do not share out the digits of the blocks")
+    per_factor = [[] for _ in sizes]
+    for e, entry in zip(entry_digits, entries):
+        per_factor[owner[e]].append(entry)
+    return [tuple(factor) for factor in per_factor]
+
+
 def nu2(r):
     """The 2-part of r: largest power of 2 dividing r, with nu2(0) = infinity."""
     if r < 0:
@@ -262,7 +290,7 @@ def _attach_first_row(alpha, k, h):
     return Partition(parts)
 
 
-def attach_unique_gamma(alpha, beta, n, *, cross_check=False):
+def attach_unique_gamma(alpha, beta, n):
     """The unique gamma of n with a removable rim hook of type beta leaving alpha.
 
     Requires m <= n <= 2m-1 for m = beta.m, which forces the hook corner into
@@ -286,17 +314,6 @@ def attach_unique_gamma(alpha, beta, n, *, cross_check=False):
         gamma = attach_unique_gamma(alpha.conjugate(), conj_beta, n).conjugate()
     if gamma.n != n:
         raise TheoremViolationError(f"attachment produced wrong size for {alpha}, {beta}")
-    if cross_check:
-        matches = [
-            g
-            for g in partitions(n)
-            for _, typ, rest in rim_hooks_of_length(g, m)
-            if typ == beta and rest == alpha
-        ]
-        if matches != [gamma]:
-            raise TheoremViolationError(
-                f"brute-force census disagrees: {matches} vs {gamma}"
-            )
     return gamma
 
 

@@ -21,9 +21,11 @@ from .partitions import (
     HookPartition,
     Partition,
     attach_unique_gamma,
+    check_two_adic_layout,
     nu2,
     odd_multinomial_order,
     rim_hooks_of_length,
+    split_by_digit,
     two_adic,
 )
 from .characters import is_odd_partition, branch_restrict, odd_partitions
@@ -54,9 +56,7 @@ class ThetaLabel:
     hooks: tuple
 
     def __post_init__(self):
-        sizes = tuple(h.m for h in self.hooks)
-        if sizes != tuple(1 << e for e in two_adic(sum(sizes))):
-            raise DomainError(f"block sizes {sizes} are not a 2-adic decomposition")
+        check_two_adic_layout(tuple(h.m for h in self.hooks))
 
     @property
     def n(self):
@@ -77,9 +77,7 @@ class SylowLinearLabel:
     blocks: tuple  # of (block size, bits tuple)
 
     def __post_init__(self):
-        sizes = tuple(size for size, _ in self.blocks)
-        if sizes != tuple(1 << e for e in two_adic(sum(sizes))):
-            raise DomainError(f"block sizes {sizes} are not a 2-adic decomposition")
+        check_two_adic_layout(tuple(size for size, _ in self.blocks))
         for size, bits in self.blocks:
             if len(bits) != size.bit_length() - 1 or any(b not in (0, 1) for b in bits):
                 raise DomainError(f"bad bit vector {bits} for block size {size}")
@@ -249,19 +247,6 @@ def count_odd_irr_sn(n):
     return 1 << sum(two_adic(n))
 
 
-def _block_ownership(n, sizes):
-    """Assign each 2-adic block of n to the unique member of sizes holding its digit."""
-    owners = {}
-    for idx, k in enumerate(sizes):
-        for e in two_adic(k):
-            if e in owners:
-                raise DomainError(f"sizes {sizes} do not partition the digits of {n}")
-            owners[e] = idx
-    if set(owners) != set(two_adic(n)):
-        raise DomainError(f"sizes {sizes} do not partition the digits of {n}")
-    return owners
-
-
 def young_star(lam, blocks):
     """Per-factor odd partitions for a Young subgroup of odd index.
 
@@ -274,17 +259,10 @@ def young_star(lam, blocks):
         raise DomainError(f"Young subgroup {blocks} does not have odd index")
     if sum(blocks) != lam.n:
         raise DomainError(f"blocks sum to {sum(blocks)}, need {lam.n}")
-    label = sharp_sn(lam)
-    owners = _block_ownership(lam.n, blocks)
-    per_factor = [[] for _ in blocks]
-    for size, bits in label.blocks:
-        per_factor[owners[size.bit_length() - 1]].append((size, bits))
-    out = []
-    for k, factor_blocks in zip(blocks, per_factor):
-        factor = SylowLinearLabel(tuple(factor_blocks))
-        assert factor.n == k
-        out.append(sharp_sn_inverse(factor))
-    return out
+    return [
+        sharp_sn_inverse(SylowLinearLabel(factor_blocks))
+        for factor_blocks in split_by_digit(sharp_sn(lam).blocks, blocks)
+    ]
 
 
 def wreath_index_is_odd(k, t):

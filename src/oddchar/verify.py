@@ -6,6 +6,8 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 2-power degrees (see the sharp-oracle docstring).
 """
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +30,7 @@ from .sym import (
     wreath_index_is_odd,
     wreath_odd_labels,
 )
-from .glu import count_odd_irr_gl, enumerate_odd_labels
+from .glu import count_odd_irr_gl, enumerate_odd_labels, kappa_q
 from .omega import enumerate_omega_labels, galois_act, outer_act, sharp_glu, count_real_odd
 
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
@@ -61,14 +63,22 @@ class VerifyReport:
 
 
 def _sweep(report, items, check, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check, items))
     else:
         results = [check(item) for item in items]
     for checks, ces in results:
         report.add(checks, ces)
     return report
+
+
+def _label_sweep(suite, check, max_n, qs, kappas, jobs):
+    """A sweep over the (n, q, kappa) grid with n = 1..max_n."""
+    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
+    report = VerifyReport(suite, {"max_n": max_n, "q": list(qs), "kappa": list(kappas)})
+    return _sweep(report, items, check, jobs)
 
 
 def _check_sn_star(n):
@@ -250,7 +260,7 @@ def suite_theorem_d(max_n=8, jobs=1, **_):
 
 
 def _closed_form_gl(n, q, kappa):
-    mod = q - 1 if kappa == "+" else q + 1
+    mod = kappa_q(kappa, q).modulus
     count = 1
     for e in two_adic(n):
         count *= mod << e
@@ -268,9 +278,7 @@ def _check_gl_count(item):
 
 
 def suite_gl_counts(max_n=8, qs=(3, 5, 7, 9), kappas=("+", "-"), jobs=1, **_):
-    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
-    report = VerifyReport("gl-counts", {"max_n": max_n, "q": list(qs), "kappa": list(kappas)})
-    return _sweep(report, items, _check_gl_count, jobs)
+    return _label_sweep("gl-counts", _check_gl_count, max_n, qs, kappas, jobs)
 
 
 def _check_omega_bij(item):
@@ -296,19 +304,15 @@ def _check_omega_bij(item):
 
 
 def suite_omega_bij(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
-    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
-    report = VerifyReport("omega-bij", {"max_n": max_n, "q": list(qs), "kappa": list(kappas)})
-    return _sweep(report, items, _check_omega_bij, jobs)
+    return _label_sweep("omega-bij", _check_omega_bij, max_n, qs, kappas, jobs)
 
 
 def _check_equivariance(item):
     n, q, kappa = item
     ces = []
     checks = 0
-    mod = q - 1 if kappa == "+" else q + 1
+    mod = kappa_q(kappa, q).modulus
     labels = enumerate_odd_labels(n, q, kappa)
-    import math
-
     sigmas = [i for i in range(1, mod) if math.gcd(i, mod) == 1]
     for label in labels:
         image = sharp_glu(label)
@@ -325,11 +329,7 @@ def _check_equivariance(item):
 
 
 def suite_galois_equivariance(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
-    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
-    report = VerifyReport(
-        "galois-equivariance", {"max_n": max_n, "q": list(qs), "kappa": list(kappas)}
-    )
-    return _sweep(report, items, _check_equivariance, jobs)
+    return _label_sweep("galois-equivariance", _check_equivariance, max_n, qs, kappas, jobs)
 
 
 def _check_corollary_f(item):
@@ -344,9 +344,7 @@ def _check_corollary_f(item):
 
 
 def suite_corollary_f(max_n=8, qs=(3, 5, 7, 9, 11), kappas=("+", "-"), jobs=1, **_):
-    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
-    report = VerifyReport("corollaryF", {"max_n": max_n, "q": list(qs), "kappa": list(kappas)})
-    return _sweep(report, items, _check_corollary_f, jobs)
+    return _label_sweep("corollaryF", _check_corollary_f, max_n, qs, kappas, jobs)
 
 
 SUITES = {

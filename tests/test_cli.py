@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from oddchar.cli import main, parse_pairs, parse_partition
-from oddchar import cli
+from oddchar import cli, verify
 from oddchar.errors import DomainError, EnumerationCapError
 from oddchar.partitions import Partition
+from oddchar.verify import run_suite
 
 
 def run_cli(*argv):
@@ -76,6 +77,8 @@ def test_counts(capsys):
     )
     assert code == 0 and payload == {"count": 8}
     assert run_cli("count", "gl", "--n", "2") == 2  # missing --q
+    # q = 1 gives an empty residue group, not a census of 0
+    assert run_cli("count", "real", "--n", "2", "--q", "1") == 2
 
 
 def test_glu_commands(capsys):
@@ -142,8 +145,119 @@ def test_verify_jobs_deterministic(capsys):
     assert serial == parallel
 
 
+def test_verify_jobs_clamped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    serial = run_suite("sn-star", max_n=4).to_json()
+    assert run_suite("sn-star", max_n=4, jobs=10**6).to_json() == serial  # 3 items
+    run_suite("sn-star", max_n=9, jobs=10**6)  # 8 items, 4 CPUs
+    run_suite("sn-star", max_n=9, jobs=3)
+    run_suite("sn-star", max_n=2, jobs=8)  # 1 item: serial
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    run_suite("sn-star", max_n=9, jobs=8)  # CPU count unknown: serial
+    assert sizes == [3, 4, 3]
+
+
 def test_cli_byte_identical_runs():
     cmd = [sys.executable, "-m", "oddchar.cli", "alpha", "2,2,1"]
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
+
+
+# Exact stdout bytes and exit codes of the CLI; a refactor of the label core
+# (glu, omega, sym, verify) must keep them byte for byte.
+GOLDEN = [
+    (["young-star", "2,2,1", "--blocks", "1,4"], 0, b'{"factors":[[1],[2,1,1]]}\n'),
+    (["young-star", "3,2,1,1", "--blocks", "2,5"], 0, b'{"factors":[[2],[2,2,1]]}\n'),
+    (
+        ["wreath-star", "4", "--k", "2", "--t", "2"],
+        0,
+        b'{"base":[{"psi":[2],"t":2}],"k":2,"t":2,"top":[[2]]}\n',
+    ),
+    (
+        ["parabolic-star", "--q", "3", "--pairs", "s=1:l=3"],
+        0,
+        b'{"line":{"lambda":[1],"s":1},"rest":{"kappa":"+","pairs":[{"lambda":[2],"s":1}],"q":3}}\n',
+    ),
+    (
+        ["levi-star", "--q", "5", "--pairs", "s=1:l=3;s=3:l=4", "--blocks", "3,4"],
+        0,
+        b'{"factors":[{"kappa":"+","pairs":[{"lambda":[3],"s":1}],"q":5},'
+        b'{"kappa":"+","pairs":[{"lambda":[4],"s":3}],"q":5}]}\n',
+    ),
+    (
+        ["levi-star", "--kappa", "-", "--q", "3", "--pairs", "s=2:l=2,2,1;s=0:l=2", "--blocks", "2,5"],
+        0,
+        b'{"factors":[{"kappa":"-","pairs":[{"lambda":[2],"s":0}],"q":3},'
+        b'{"kappa":"-","pairs":[{"lambda":[2,2,1],"s":2}],"q":3}]}\n',
+    ),
+    (
+        ["sharp-glu", "--q", "3", "--pairs", "s=1:l=2,2,1"],
+        0,
+        b'{"blocks":[{"hook":{"leg":2,"m":4},"s":1,"size":4},'
+        b'{"hook":{"leg":0,"m":1},"s":1,"size":1}],"kappa":"+","q":3}\n',
+    ),
+    (
+        ["sharp-glu", "--kappa", "-", "--q", "5", "--pairs", "s=0:l=1;s=5:l=5,1"],
+        0,
+        b'{"blocks":[{"hook":{"leg":0,"m":4},"s":5,"size":4},'
+        b'{"hook":{"leg":1,"m":2},"s":5,"size":2},'
+        b'{"hook":{"leg":0,"m":1},"s":0,"size":1}],"kappa":"-","q":5}\n',
+    ),
+    (["count", "gl", "--n", "5", "--q", "5"], 0, b'{"count":64}\n'),
+    (["count", "gl", "--n", "4", "--q", "3", "--kappa", "-"], 0, b'{"count":16}\n'),
+    (["count", "real", "--n", "3", "--q", "7"], 0, b'{"count":8}\n'),
+    (["count", "real", "--n", "4", "--q", "5", "--kappa", "-"], 0, b'{"count":8}\n'),
+    (
+        ["verify", "omega-bij", "--max-n", "3", "--q", "3,5"],
+        0,
+        b'{"checks":384,"counterexamples":[],"failed":0,"params":{"kappa":["+","-"],'
+        b'"max_n":3,"q":[3,5]},"passed":384,"suite":"omega-bij"}\n',
+    ),
+    (
+        ["verify", "galois-equivariance", "--max-n", "3", "--q", "3,5"],
+        0,
+        b'{"checks":620,"counterexamples":[],"failed":0,"params":{"kappa":["+","-"],'
+        b'"max_n":3,"q":[3,5]},"passed":620,"suite":"galois-equivariance"}\n',
+    ),
+    (
+        ["verify", "gl-counts", "--max-n", "4", "--q", "3,5"],
+        0,
+        b'{"checks":16,"counterexamples":[],"failed":0,"params":{"kappa":["+","-"],'
+        b'"max_n":4,"q":[3,5]},"passed":16,"suite":"gl-counts"}\n',
+    ),
+    (
+        ["verify", "corollaryF", "--max-n", "4", "--q", "3,5"],
+        0,
+        b'{"checks":16,"counterexamples":[],"failed":0,"params":{"kappa":["+","-"],'
+        b'"max_n":4,"q":[3,5]},"passed":16,"suite":"corollaryF"}\n',
+    ),
+    (["sharp-glu", "--q", "15", "--pairs", "s=0:l=1"], 2, b""),
+    (["sharp-glu", "--q", "3", "--pairs", "s=2:l=1"], 2, b""),
+    (["levi-star", "--q", "3", "--pairs", "s=1:l=4", "--blocks", "2,2"], 2, b""),
+    (["young-star", "4", "--blocks", "2,2"], 2, b""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_cli_bytes(capsysbinary, argv, code, stdout):
+    assert run_cli(*argv) == code
+    captured = capsysbinary.readouterr()
+    assert captured.out == stdout
+    assert (code == 0) == (captured.err == b"")

@@ -29,7 +29,10 @@ def test_local_to_omega_examples():
 
 
 def test_local_round_trips():
-    for kappa, q in [("+", 3), ("-", 3), ("+", 9), ("-", 5)]:
+    cases = [("+", 3), ("-", 3), ("+", 9), ("-", 5)]
+    # moduli 6, 10, 24, 12, 14, 28: odd parts 3, 5, 7 and 2-parts up to 8
+    cases += [("+", 7), ("+", 11), ("+", 25), ("-", 11), ("-", 13), ("-", 27)]
+    for kappa, q in cases:
         mod = q - 1 if kappa == "+" else q + 1
         for m in range(0, 5):
             for s in range(mod):

@@ -270,7 +270,14 @@ def test_attach_unique_by_census():
             for alpha in partitions(n - m):
                 for leg in range(m):
                     beta = HookPartition(m, leg)
-                    gamma = attach_unique_gamma(alpha, beta, n, cross_check=True)
+                    gamma = attach_unique_gamma(alpha, beta, n)
+                    matches = [
+                        g
+                        for g in partitions(n)
+                        for _, typ, rest in rim_hooks_of_length(g, m)
+                        if typ == beta and rest == alpha
+                    ]
+                    assert matches == [gamma]
                     back = [
                         (typ, rest)
                         for _, typ, rest in rim_hooks_of_length(gamma, m)
