@@ -3,7 +3,8 @@
 Exit codes: 0 success (and every verify check passed), 1 verify sweep with
 failures, 2 usage or domain error (including a verify sweep that checks
 nothing), 3 violated uniqueness/existence guarantee (never happens on a
-correct build), 4 a group enumeration would exceed the element cap.
+correct build), 4 an enumeration (group elements or labels) would exceed
+the element cap.
 """
 
 import argparse

@@ -14,4 +14,7 @@ class TheoremViolationError(OddcharError):
 
 
 class EnumerationCapError(OddcharError):
-    """A group closure exceeded the hard element cap; never silently truncated."""
+    """An enumeration would exceed the hard element cap; never silently truncated."""
+
+
+DEFAULT_CAP = 200_000

@@ -10,10 +10,10 @@ modular arithmetic on residues.
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, product
 from typing import NamedTuple
 
-from .errors import DomainError, TheoremViolationError
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import Partition, nu2, odd_multinomial_order, split_by_digit, two_adic
 from .characters import is_odd_partition, odd_partitions
 from .sym import star_sn
@@ -183,25 +183,31 @@ def _digit_groupings(exponents):
             yield grouping[:i] + ((first,) + group,) + grouping[i + 1 :]
 
 
+def check_label_count(n, modulus):
+    """Raise before a rank-n enumeration of modulus^r * 2^(sum e) labels passes the cap.
+
+    r is the number of binary digits of n and e runs over their exponents;
+    both the odd labels and the normalizer coordinates number exactly this.
+    """
+    exps = two_adic(n)
+    count = modulus ** len(exps) << sum(exps)
+    if count > DEFAULT_CAP:
+        raise EnumerationCapError(f"{count} labels of rank {n} > cap {DEFAULT_CAP}")
+
+
 def enumerate_odd_labels(n, q, kappa):
     """All odd labels of rank n: digit-partitioned sizes, distinct residues, odd parts."""
     if n < 1:
         raise DomainError("n must be positive")
     mod = kappa_q(kappa, q).modulus
+    check_label_count(n, mod)
     out = []
     for grouping in _digit_groupings(two_adic(n)):
         sizes = [sum(1 << e for e in group) for group in grouping]
         choices = [odd_partitions(k) for k in sizes]
         for residues in _permutations(range(mod), len(sizes)):
-
-            def fill(i, acc):
-                if i == len(sizes):
-                    out.append(GLabel(kappa, q, tuple(acc)))
-                    return
-                for lam in choices[i]:
-                    fill(i + 1, acc + [(residues[i], lam)])
-
-            fill(0, [])
+            levels = [[(s, lam) for lam in choice] for s, choice in zip(residues, choices)]
+            out.extend(GLabel(kappa, q, pairs) for pairs in product(*levels))
     return out
 
 
@@ -227,12 +233,9 @@ def sl_correspondence_data(label):
     """
     if label.n % 2 == 0:
         raise DomainError("need odd rank n")
-    corr = parabolic_star(label)
-    ordered = canonical_order(label)
-    sizes = [ordered[0][1].n - 1] + [lam.n for _, lam in ordered[1:]]
-    sizes = [k for k in sizes if k > 0]
-    flag = len(set(sizes)) == len(sizes)
-    return flag, corr.rest
+    rest = parabolic_star(label).rest
+    flag = len({lam.n for _, lam in rest.pairs}) == len(rest.pairs)
+    return flag, rest
 
 
 def sl_label_census(n, q):

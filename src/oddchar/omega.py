@@ -9,11 +9,12 @@ a finite check.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DomainError, TheoremViolationError
 from .partitions import HookPartition, check_two_adic_layout, two_adic
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
-from .glu import GLabel, canonical_order, kappa_q
+from .glu import GLabel, canonical_order, check_label_count, kappa_q
 
 __all__ = [
     "OmegaLabel",
@@ -220,20 +221,12 @@ def enumerate_omega_labels(n, q, kappa):
     if n < 1:
         raise DomainError("n must be positive")
     mod = kappa_q(kappa, q).modulus
-    sizes = [1 << e for e in two_adic(n)]
-    out = []
-
-    def fill(i, acc):
-        if i == len(sizes):
-            out.append(OmegaLabel(kappa, q, tuple(acc)))
-            return
-        size = sizes[i]
-        for s in range(mod):
-            for leg in range(size):
-                fill(i + 1, acc + [(size, s, HookPartition(size, leg))])
-
-    fill(0, [])
-    return out
+    check_label_count(n, mod)
+    blocks = [
+        [(size, s, HookPartition(size, leg)) for s in range(mod) for leg in range(size)]
+        for size in (1 << e for e in two_adic(n))
+    ]
+    return [OmegaLabel(kappa, q, combo) for combo in product(*blocks)]
 
 
 def count_real_odd(n, q, kappa):

@@ -1,15 +1,18 @@
 """Desk-scale permutation groups: Sylow 2-subgroups and restriction oracles.
 
-Permutations are tuples of images on 0-indexed points. Groups are enumerated
-by breadth-first closure with a hard cap; exceeding the cap raises, it never
-truncates. Linear characters are recovered from the abelianization computed
-on the enumerated element set, deliberately independent of the wreath-tower
-labeling used by the correspondence modules.
+Permutations are tuples of images on 0-indexed points. A group is enumerated
+by one breadth-first closure from the identity with a hard cap; exceeding the
+cap raises, it never truncates. The closure records each element's F2 word
+vector over the generators, and every Cayley edge that closes a cycle adds a
+relation. Word vectors modulo the relation span are coordinates on
+G / G^2 [G, G], the quotient every +-1 character factors through, so linear
+characters need no derived subgroup. All of this is deliberately independent
+of the wreath-tower labeling used by the correspondence modules.
 """
 
 from functools import cached_property
 
-from .errors import DomainError, EnumerationCapError
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
 from .characters import mn_value
 from .partitions import Partition, two_adic
 
@@ -23,8 +26,6 @@ __all__ = [
     "restriction_multiplicities",
 ]
 
-DEFAULT_CAP = 200_000
-
 
 def identity_perm(n):
     return tuple(range(n))
@@ -33,13 +34,6 @@ def identity_perm(n):
 def compose(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p):
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
 
 
 def cycle_type(p):
@@ -59,23 +53,6 @@ def cycle_type(p):
     return Partition(sorted(lengths, reverse=True))
 
 
-def _closure(generators, seed, cap):
-    els = set(seed)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in generators:
-            for x in frontier:
-                y = compose(g, x)
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-                    if len(els) > cap:
-                        raise EnumerationCapError(f"element cap {cap} exceeded")
-        frontier = new
-    return els
-
-
 class PermutationGroup:
     """A permutation group given by generators, with full desk-scale enumeration."""
 
@@ -91,9 +68,39 @@ class PermutationGroup:
         self.generators = tuple(gens)
 
     @cached_property
+    def _words(self):
+        """One breadth-first closure from the identity.
+
+        Returns (word, relations). word maps each element to its F2 word
+        vector: bit i is the parity of generator i on the element's closure
+        path. Each Cayley edge y = g_i x that reaches a known y adds the
+        relation word[x] ^ (1 << i) ^ word[y]; relations is their span.
+        """
+        ident = identity_perm(self.degree)
+        word = {ident: 0}
+        relations = {0}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for i, g in enumerate(self.generators):
+                bit = 1 << i
+                for x in frontier:
+                    y = compose(g, x)
+                    w = word[x] ^ bit
+                    known = word.get(y)
+                    if known is None:
+                        word[y] = w
+                        new.append(y)
+                        if len(word) > self.cap:
+                            raise EnumerationCapError(f"element cap {self.cap} exceeded")
+                    elif known ^ w not in relations:
+                        relations |= {r ^ known ^ w for r in relations}
+            frontier = new
+        return word, relations
+
+    @cached_property
     def elements(self):
-        seed = {identity_perm(self.degree)} | set(self.generators)
-        return frozenset(_closure(self.generators, seed, self.cap))
+        return frozenset(self._words[0])
 
     @property
     def order(self):
@@ -103,85 +110,58 @@ class PermutationGroup:
         return tuple(p) in self.elements
 
     @cached_property
-    def _derived_elements(self):
-        """Derived subgroup: closure of the normal closure of generator commutators."""
-        gens = self.generators
-        comms = set()
-        for a in gens:
-            ia = inverse(a)
-            for b in gens:
-                comms.add(compose(compose(ia, inverse(b)), compose(a, b)))
-        comms.discard(identity_perm(self.degree))
-        # normal closure under generator conjugation
-        frontier = list(comms)
-        while frontier:
-            new = []
-            for g in gens:
-                ig = inverse(g)
-                for c in frontier:
-                    d = compose(compose(g, c), ig)
-                    if d not in comms:
-                        comms.add(d)
-                        new.append(d)
-            frontier = new
-        seed = comms | {identity_perm(self.degree)}
-        return frozenset(_closure(sorted(seed), seed, self.cap))
+    def _quotient(self):
+        """F2 coordinates on G / G^2 [G, G], the quotient every +-1 character factors through.
 
-    @cached_property
-    def _abelianization(self):
-        """Coset map and F2 coordinates of the elementary-abelian-2 quotient."""
-        der = self._derived_elements
-        coset_of = {}
-        reps = []
-        for x in sorted(self.elements):
-            if x in coset_of:
-                continue
-            rep = min(compose(x, d) for d in der)
-            for d in der:
-                coset_of[compose(x, d)] = rep
-            if rep not in reps:
-                reps.append(rep)
-        ident = coset_of[identity_perm(self.degree)]
-        for rep in reps:
-            if coset_of[compose(rep, rep)] != ident:
-                raise DomainError("abelianization is not elementary abelian of exponent 2")
-        # grow an F2 basis and coordinatize every coset along the way
-        coords = {ident: 0}
+        Returns (coord, dim): coord maps each word vector to its coordinate in
+        F2^dim; word vectors that differ by a relation share one. The basis is
+        grown greedily from the sorted coset minima, which fixes the mask
+        order of linear_characters().
+        """
+        word, relations = self._words
+        canon = {w: min(w ^ r for r in relations) for w in set(word.values())}
+        least = {}
+        for x, w in word.items():
+            c = canon[w]
+            if c not in least or x < least[c]:
+                least[c] = x
+        coords = {0: 0}
         dim = 0
-        for rep in sorted(reps):
-            if rep in coords:
+        for x in sorted(least.values()):
+            c = canon[word[x]]
+            if c in coords:
                 continue
             bit = 1 << dim
             dim += 1
             for known, vec in list(coords.items()):
-                coords[coset_of[compose(known, rep)]] = vec | bit
-        assert len(coords) == len(reps) == 1 << dim
-        return coset_of, coords, dim
+                coords[min(known ^ c ^ r for r in relations)] = vec | bit
+        return {w: coords[c] for w, c in canon.items()}, dim
 
     def abelianization_order(self):
-        return len(self._abelianization[1])
+        """Order of G / G^2 [G, G]; the abelianization for these Sylow 2-subgroups."""
+        return 1 << self._quotient[1]
 
     @cached_property
     def _class_histogram(self):
-        """Element counts by cycle type and abelianization coordinate.
+        """Element counts by cycle type and quotient coordinate.
 
         Maps each cycle type t to a list whose entry v counts the elements of
-        type t in the coset with F2 coordinate vector v. Built once per group.
+        type t with F2 coordinate vector v. Built once per group.
         """
-        coset_of, coords, dim = self._abelianization
+        word, _ = self._words
+        coord, dim = self._quotient
         counts = {}
-        for h in self.elements:
+        for h, w in word.items():
             t = cycle_type(h)
             row = counts.get(t)
             if row is None:
                 row = counts[t] = [0] * (1 << dim)
-            row[coords[coset_of[h]]] += 1
+            row[coord[w]] += 1
         return counts
 
     def linear_characters(self):
-        """All homomorphisms to {+1, -1}, via the enumerated abelianization."""
-        _, _, dim = self._abelianization
-        return [LinearCharacter(self, mask) for mask in range(1 << dim)]
+        """All homomorphisms to {+1, -1}, in mask order over the quotient coordinates."""
+        return [LinearCharacter(self, mask) for mask in range(1 << self._quotient[1])]
 
 
 class LinearCharacter:
@@ -192,8 +172,8 @@ class LinearCharacter:
         self.mask = mask
 
     def value(self, p):
-        coset_of, coords, _ = self.group._abelianization
-        vec = coords[coset_of[tuple(p)]]
+        coord, _ = self.group._quotient
+        vec = coord[self.group._words[0][tuple(p)]]
         return -1 if (self.mask & vec).bit_count() % 2 else 1
 
     @cached_property
@@ -255,13 +235,13 @@ def sylow2_subgroup(n, cap=DEFAULT_CAP):
 def restriction_multiplicities(lam, group):
     """Multiplicity of every linear character in the restriction of lam.
 
-    Every linear character phi_mask factors through the elementary-abelian
-    abelianization F2^dim, so the exact inner products
+    Every linear character phi_mask factors through the quotient
+    G / G^2 [G, G] = F2^dim, so the exact inner products
     (1/|H|) sum_h chi(h) phi_mask(h) for all masks at once are one integer
     Walsh-Hadamard transform of f[v] = sum_t chi(t) count[t][v], where
-    count is the group's cached class histogram (cycle type by coset vector)
-    and chi(t) the Murnaghan-Nakayama value. Returns (values-on-generators,
-    multiplicity) pairs in mask order.
+    count is the group's cached class histogram (cycle type by quotient
+    coordinate) and chi(t) the Murnaghan-Nakayama value. Returns
+    (values-on-generators, multiplicity) pairs in mask order.
     """
     if lam.n != group.degree:
         raise DomainError(f"partition of {lam.n} vs group of degree {group.degree}")

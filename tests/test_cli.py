@@ -135,6 +135,12 @@ def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cap" in captured.err and "Traceback" not in captured.err
+    # 1,000,002 labels each: refused by count before any label is built
+    for family in ("gl", "real"):
+        assert run_cli("count", family, "--n", "1", "--q", "1000003") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000002 labels" in captured.err
 
 
 def test_verify_jobs_deterministic(capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -151,3 +152,16 @@ def test_conjugation_fixed_labels_are_galois_fixed():
             assert all((2 * s) % mod == 0 for _, s, _ in omega.blocks)
             for i in sigmas:
                 assert galois_act(i, omega) == omega
+
+
+def test_enumerations_leave_no_reference_cycles():
+    # enumerated labels are freed by reference counting, so peak memory does
+    # not wait on the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_odd_labels(3, 5, "+")
+        enumerate_omega_labels(3, 5, "-")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ from oddchar.partitions import Partition, partitions, two_adic
 from oddchar.permgroups import (
     DEFAULT_CAP,
     PermutationGroup,
+    compose,
     cycle_type,
     restriction_multiplicities,
     sylow2_subgroup,
@@ -60,15 +61,77 @@ def test_linear_character_counts():
         assert len(group.linear_characters()) == expected
 
 
-def test_linear_characters_are_homomorphisms():
-    from oddchar.permgroups import compose
+def relation_groups():
+    """(group, number of +-1 characters) where the closure finds relations.
 
-    group = sylow2_subgroup(6)
-    els = sorted(group.elements)[:12]
-    for phi in group.linear_characters():
-        for a in els:
-            for b in els:
-                assert phi.value(compose(a, b)) == phi.value(a) * phi.value(b)
+    S_3 and D_8 with a redundant generator have relations of odd word
+    parity, so the relation span is not {0}; C_4 has an abelianization that
+    is not elementary abelian.
+    """
+    r, s = (1, 2, 3, 0), (3, 2, 1, 0)
+    return [
+        (PermutationGroup(3, [(1, 0, 2), (1, 2, 0)]), 2),
+        (PermutationGroup(4, [r]), 2),
+        (PermutationGroup(4, [r, s, compose(r, s)]), 4),
+    ]
+
+
+def test_linear_characters_are_homomorphisms():
+    groups = [sylow2_subgroup(n) for n in (4, 5, 6)] + [g for g, _ in relation_groups()]
+    for group in groups:
+        els = sorted(group.elements)
+        characters = group.linear_characters()
+        for phi in characters:
+            for a in els:
+                for b in els:
+                    assert phi.value(compose(a, b)) == phi.value(a) * phi.value(b)
+        labels = [phi.on_generators for phi in characters]
+        assert len(set(labels)) == len(labels)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, img in enumerate(p):
+        out[img] = i
+    return tuple(out)
+
+
+def subgroup_closure(seed):
+    """The subgroup generated by seed, closed by brute force."""
+    seed = set(seed)
+    closed = set(seed)
+    frontier = list(seed)
+    while frontier:
+        new = []
+        for c in seed:
+            for x in frontier:
+                y = compose(c, x)
+                if y not in closed:
+                    closed.add(y)
+                    new.append(y)
+        frontier = new
+    return closed
+
+
+def test_quotient_is_the_abelianization():
+    for n in range(1, 9):
+        group = sylow2_subgroup(n)
+        els = group.elements
+        derived = subgroup_closure(
+            compose(compose(inverse(a), inverse(b)), compose(a, b)) for a in els for b in els
+        )
+        assert group.order // len(derived) == group.abelianization_order(), n
+        for phi in group.linear_characters():
+            assert all(phi.value(d) == 1 for d in derived), (n, phi)
+
+
+def test_sign_characters_where_edges_carry_relations():
+    for group, count in relation_groups():
+        squares = subgroup_closure(compose(a, a) for a in group.elements)
+        assert group.abelianization_order() == len(group.linear_characters()) == count
+        assert group.order // len(squares) == count
+        for phi in group.linear_characters():
+            assert all(phi.value(a) == 1 for a in squares)
 
 
 def test_restriction_s2_example():
