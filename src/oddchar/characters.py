@@ -29,13 +29,9 @@ CycleType = Partition
 
 @cache
 def _degree(parts):
-    lam = Partition(parts)
-    d = math.factorial(lam.n)
-    conj = lam.conjugate()
-    for i, p in enumerate(lam.parts, start=1):
-        for j in range(1, p + 1):
-            d //= p - j + conj.parts[j - 1] - i + 1
-    return d
+    conj = Partition._trusted(parts).conjugate().parts
+    hooks = (p - j + conj[j] - i - 1 for i, p in enumerate(parts) for j in range(p))
+    return math.factorial(sum(parts)) // math.prod(hooks)
 
 
 def degree(lam):
@@ -57,7 +53,7 @@ def odd_partitions(n):
 def _mn(lam_parts, mu_parts):
     if not mu_parts:
         return 1
-    lam = Partition(lam_parts)
+    lam = Partition._trusted(lam_parts)
     c, rest = mu_parts[0], mu_parts[1:]
     total = 0
     for hook, _, remainder in rim_hooks_of_length(lam, c):
@@ -82,7 +78,7 @@ def branch_restrict(lam):
         if i + 1 == len(parts) or parts[i + 1] < parts[i]:
             row = list(parts)
             row[i] -= 1
-            out.append(Partition([x for x in row if x > 0]))
+            out.append(Partition._trusted(tuple(x for x in row if x > 0)))
     return out
 
 

@@ -7,7 +7,6 @@ the symmetric-group side, so everything here is partition combinatorics plus
 modular arithmetic on residues.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as _permutations, product
@@ -40,22 +39,77 @@ class KappaQ(NamedTuple):
     p: int  # the characteristic: q is a power of p
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# psi_13 (Sorenson and Webster, 2015); larger q are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+Q_LIMIT = 3317044064679887385961981
+_PRIME_EXPONENTS = tuple(
+    k for k in range(2, Q_LIMIT.bit_length()) if all(k % d for d in range(2, k))
+)
+
+
+def _iroot(q, k):
+    """The integer k-th root floor(q ** (1/k)) of q >= 1, exactly, by Newton's method."""
+    x = 1 << -(-q.bit_length() // k)  # 2**ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin for 1 <= p < Q_LIMIT."""
+    if p < 2:
+        return False
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_base(q):
+    """The prime p with q a power of p, or None; requires 1 <= q < Q_LIMIT.
+
+    An exact power q = r**k with k prime reduces to r; a q that is no
+    perfect power is a prime power exactly when it is prime.
+    """
+    for k in _PRIME_EXPONENTS:
+        if 1 << k > q:
+            break
+        r = _iroot(q, k)
+        if r**k == q:
+            return _prime_base(r)
+    return q if _is_prime(q) else None
+
+
 @cache
 def kappa_q(kappa, q):
     """The validated data of the family (kappa, q); the one home of its modulus.
 
     Raises DomainError unless kappa is '+' (linear) or '-' (unitary) and q is
-    a power of an odd prime.
+    a power of an odd prime below Q_LIMIT (about 3.3e24), where the
+    prime-power test is exact.
     """
     if kappa not in ("+", "-"):
         raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
-    p = q  # the least prime factor of q, by trial division when q is odd
-    if q >= 3 and q % 2:
-        p = next((d for d in range(3, math.isqrt(q) + 1, 2) if q % d == 0), q)
-    power = p
-    while 1 < power < q:
-        power *= p
-    if q < 3 or q % 2 == 0 or power != q:
+    if q >= Q_LIMIT:
+        raise DomainError(f"q={q} is too large: prime powers are tested only below {Q_LIMIT}")
+    p = _prime_base(q) if q >= 3 and q % 2 else None
+    if p is None:
         raise DomainError(f"q={q} is not an odd prime power")
     mod = q - 1 if kappa == "+" else q + 1
     two = mod & -mod

@@ -2,6 +2,13 @@
 
 Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call from parallel sweeps.
+
+Partitions are validated where they enter: the public Partition(...)
+constructor, Partition.from_json and the CLI parser (which calls the
+constructor). Internal builders whose output is a partition by construction
+(partitions(), conjugate(), rim-hook remainders, branch_restrict and the
+character caches) wrap their tuples with the private, unchecked
+Partition._trusted; it is internal-only and never sees user data.
 """
 
 import math
@@ -41,6 +48,14 @@ class Partition:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
 
+    @classmethod
+    def _trusted(cls, parts):
+        """Internal: wrap a tuple already known to be a partition, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "n", sum(parts))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -67,13 +82,16 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self):
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        parts = self.parts
+        if not parts:
+            return self
+        cols = []
+        rows = len(parts)  # column j has one cell per part of size >= j
+        for j in range(1, parts[0] + 1):
+            while parts[rows - 1] < j:
+                rows -= 1
+            cols.append(rows)
+        return Partition._trusted(tuple(cols))
 
     def contains(self, other):
         """Containment of Young diagrams."""
@@ -264,7 +282,7 @@ def rim_hooks_of_length(lam, m):
             for t in range(i, l):
                 rest[t - 1] = lam.parts[t] - 1
             rest[l - 1] = j - 1
-            remainder = Partition([p for p in rest if p > 0])
+            remainder = Partition._trusted(tuple(p for p in rest if p > 0))
             assert remainder.n == lam.n - m
             out.append((hook, hook.hook_type(), remainder))
     return out
@@ -333,4 +351,4 @@ def partitions(n, max_part=None):
         raise DomainError("n must be nonnegative")
     if max_part is None:
         max_part = n
-    return [Partition(t) for t in _partition_tuples(n, max_part)]
+    return [Partition._trusted(t) for t in _partition_tuples(n, max_part)]

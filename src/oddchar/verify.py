@@ -8,7 +8,6 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length, two_adic
@@ -65,6 +64,8 @@ class VerifyReport:
 def _sweep(report, items, check, jobs):
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip this import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check, items))
     else:
@@ -182,16 +183,16 @@ def _check_lemma42(m):
     ces = []
     checks = 0
     for n in range(m, 2 * m):
+        # brute-force census: every gamma of n, by (hook type, remainder), in partitions(n) order
+        found = {}
+        for gamma in partitions(n):
+            for _, typ, rest in rim_hooks_of_length(gamma, m):
+                found.setdefault((typ, rest), []).append(gamma)
         for alpha in partitions(n - m):
             for leg in range(m):
                 beta = HookPartition(m, leg)
                 checks += 1
-                census = [
-                    gamma
-                    for gamma in partitions(n)
-                    for _, typ, rest in rim_hooks_of_length(gamma, m)
-                    if typ == beta and rest == alpha
-                ]
+                census = found.get((beta, alpha), [])
                 built = attach_unique_gamma(alpha, beta, n)
                 if census != [built]:
                     ces.append(

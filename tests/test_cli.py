@@ -1,3 +1,5 @@
+import concurrent.futures
+import importlib
 import json
 import subprocess
 import sys
@@ -7,7 +9,13 @@ import pytest
 from oddchar.cli import main, parse_pairs, parse_partition
 from oddchar import cli, verify
 from oddchar.errors import DomainError, EnumerationCapError
-from oddchar.partitions import Partition
+from oddchar.partitions import (
+    HookPartition,
+    Partition,
+    attach_unique_gamma,
+    partitions,
+    rim_hooks_of_length,
+)
 from oddchar.verify import run_suite
 
 
@@ -102,6 +110,23 @@ def test_glu_commands(capsys):
     assert code == 0 and len(payload["factors"]) == 2
 
 
+def test_large_q_is_tested_exactly():
+    big = "1000000000000000003"  # a prime; trial division up to its root never finished
+    args = [sys.executable, "-m", "oddchar.cli"]
+    out = subprocess.run(
+        args + ["sharp-glu", "--q", big, "--pairs", "s=0:l=1"], capture_output=True, timeout=30
+    )
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["q"] == int(big)
+    out = subprocess.run(args + ["count", "gl", "--n", "1", "--q", big], capture_output=True, timeout=30)
+    assert out.returncode == cli.CAP_EXIT  # q - 1 labels of rank 1
+    two_primes = str(1000000007 * 998244353)
+    out = subprocess.run(
+        args + ["count", "gl", "--n", "1", "--q", two_primes], capture_output=True, timeout=30
+    )
+    assert out.returncode == 2 and b"not an odd prime power" in out.stderr
+
+
 def test_wreath_and_young(capsys):
     code, payload = run_cli_json(capsys, "wreath-star", "4", "--k", "2", "--t", "2")
     assert code == 0
@@ -167,7 +192,7 @@ def test_verify_jobs_clamped(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     serial = run_suite("sn-star", max_n=4).to_json()
     assert run_suite("sn-star", max_n=4, jobs=10**6).to_json() == serial  # 3 items
@@ -177,6 +202,64 @@ def test_verify_jobs_clamped(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     run_suite("sn-star", max_n=9, jobs=8)  # CPU count unknown: serial
     assert sizes == [3, 4, 3]
+
+
+def test_cli_import_leaves_process_pool_out():
+    code = "import sys, oddchar.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def _lemma42_per_pair(max_m):
+    """The lemma42 report with one brute-force census per (alpha, leg) pair."""
+    report = {"suite": "lemma42", "params": {"max_m": max_m}, "checks": 0, "counterexamples": []}
+    for m in range(2, max_m + 1):
+        for n in range(m, 2 * m):
+            for alpha in partitions(n - m):
+                for leg in range(m):
+                    beta = HookPartition(m, leg)
+                    report["checks"] += 1
+                    census = [
+                        gamma
+                        for gamma in partitions(n)
+                        for _, typ, rest in rim_hooks_of_length(gamma, m)
+                        if typ == beta and rest == alpha
+                    ]
+                    built = attach_unique_gamma(alpha, beta, n)
+                    if census != [built]:
+                        report["counterexamples"].append(
+                            {
+                                "input": [alpha.to_json(), beta.to_json(), n],
+                                "expected": built.to_json(),
+                                "actual": [g.to_json() for g in census],
+                            }
+                        )
+    report["failed"] = len(report["counterexamples"])
+    report["passed"] = report["checks"] - report["failed"]
+    return report
+
+
+def test_lemma42_census_matches_per_pair_census():
+    assert run_suite("lemma42", max_n=6).to_json() == _lemma42_per_pair(6)
+
+
+def test_lemma42_reports_a_planted_wrong_gamma(monkeypatch):
+    alpha, beta, n = Partition((1,)), HookPartition(4, 2), 5
+    assert attach_unique_gamma(alpha, beta, n) == Partition((2, 2, 1))
+
+    def planted(a, b, k):
+        if (a, b, k) == (alpha, beta, n):
+            return Partition((3, 2))
+        return attach_unique_gamma(a, b, k)
+
+    # the package re-exports the function partitions(), so fetch the module itself
+    partitions_module = importlib.import_module("oddchar.partitions")
+    monkeypatch.setattr(partitions_module, "attach_unique_gamma", planted)
+    report = run_suite("lemma42", max_n=6).to_json()
+    assert report["failed"] == 1
+    assert report["counterexamples"] == [
+        {"input": [[1], {"m": 4, "leg": 2}, 5], "expected": [3, 2], "actual": [[2, 2, 1]]}
+    ]
 
 
 def test_cli_byte_identical_runs():

@@ -6,12 +6,15 @@ from oddchar.errors import DomainError
 from oddchar.characters import degree, is_odd_partition, odd_partitions
 from oddchar.partitions import Partition, nu2, two_adic
 from oddchar.glu import (
+    Q_LIMIT,
     GLabel,
+    _prime_base,
     canonical_order,
     count_odd_irr_gl,
     enumerate_odd_labels,
     is_odd_label,
     is_prime_power_odd,
+    kappa_q,
     levi_star,
     parabolic_star,
     sl_correspondence_data,
@@ -38,6 +41,29 @@ def test_prime_power_detection():
     assert not is_prime_power_odd(1)
     with pytest.raises(DomainError):
         GLabel("+", 15, ((0, Partition((1,))),))
+
+
+def test_prime_power_test_matches_trial_division():
+    def trial_base(q):
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
+        while q % p == 0:
+            q //= p
+        return p if q == 1 else None
+
+    for q in range(2, 10**5):
+        assert _prime_base(q) == trial_base(q), q
+    assert _prime_base(1) is None
+
+
+def test_prime_power_test_at_large_q():
+    big = 1000000000000000003  # prime
+    assert kappa_q("+", big).p == big
+    assert kappa_q("-", 3**45).p == 3
+    assert kappa_q("+", 1000000007**2).p == 1000000007
+    assert not is_prime_power_odd(1000000007 * 998244353)
+    assert not is_prime_power_odd(1000000007**2 * 3)
+    assert not is_prime_power_odd(Q_LIMIT + 2)  # beyond the exact range: refused
+    assert 3**52 > Q_LIMIT and not is_prime_power_odd(3**52)
 
 
 def test_glabel_validation():

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddchar.characters import branch_restrict
 from oddchar.errors import DomainError
 from oddchar.partitions import (
     HookPartition,
@@ -78,6 +79,31 @@ def test_partition_validation():
         Partition((2, 3))
     with pytest.raises(DomainError):
         Partition((1, 0))
+    with pytest.raises(DomainError):
+        Partition([1, 2])
+    with pytest.raises(DomainError):
+        Partition([0])
+    with pytest.raises(DomainError):
+        Partition.from_json([2, 3])
+
+
+def test_internal_builders_yield_valid_partitions():
+    """Outputs built by the unchecked internal path pass the validating constructor."""
+
+    def assert_valid(x):
+        assert Partition(list(x.parts)) == x
+        assert x.n == sum(x.parts)
+
+    for n in range(13):
+        for lam in partitions(n):
+            assert_valid(lam)
+            assert_valid(lam.conjugate())
+            for m in range(1, n + 1):
+                for _, _, rest in rim_hooks_of_length(lam, m):
+                    assert_valid(rest)
+            if n:
+                for mu in branch_restrict(lam):
+                    assert_valid(mu)
 
 
 def test_partition_conjugate_involution():
