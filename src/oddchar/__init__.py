@@ -6,8 +6,14 @@ coefficients, explicit Sylow 2-subgroups); the canonical odd-degree
 correspondences for symmetric groups, their odd-index maximal subgroups and
 Sylow 2-subgroups; and the label-level correspondences for finite general
 linear and unitary groups with Galois/outer equivariance.
+
+Errors and partitions load with the package; every other public name loads
+its home module on first use.
 """
 
+# Every command parses a Partition. Loading partitions eagerly also keeps
+# oddchar.partitions the function: a later first import of the submodule
+# would rebind that name to the module.
 from .errors import DomainError, EnumerationCapError, OddcharError, TheoremViolationError
 from .partitions import (
     HookPartition,
@@ -23,58 +29,83 @@ from .partitions import (
     two_adic,
     unique_descent,
 )
-from .characters import (
-    CycleType,
-    branch_restrict,
-    class_size,
-    degree,
-    is_odd_partition,
-    lr_coefficient,
-    mn_value,
-    odd_partitions,
-)
-from .permgroups import (
-    PermutationGroup,
-    restriction_multiplicities,
-    sylow2_subgroup,
-)
-from .sym import (
-    SylowLinearLabel,
-    ThetaLabel,
-    WreathOddLabel,
-    alpha_sn,
-    alpha_sn_inverse,
-    count_odd_irr_sn,
-    sharp_sn,
-    sharp_sn_inverse,
-    star_sn,
-    theorem_d_star,
-    wreath_odd_labels,
-    young_star,
-)
-from .glu import (
-    GLabel,
-    ParabolicCorrespondent,
-    canonical_order,
-    count_odd_irr_gl,
-    enumerate_odd_labels,
-    is_odd_label,
-    levi_star,
-    parabolic_star,
-    sl_correspondence_data,
-    sl_label_census,
-)
-from .omega import (
-    NormalizerLocalLabel,
-    OmegaLabel,
-    count_real_odd,
-    enumerate_omega_labels,
-    galois_act,
-    local_to_omega,
-    omega_to_local,
-    outer_act,
-    sharp_glu,
-    sharp_glu_inverse,
-)
+
+# Each public name of the other modules, by home module. A name loads its home
+# (and what that imports) on first use, so a command pays only for what it runs.
+_HOMES = {
+    "characters": (
+        "CycleType",
+        "branch_restrict",
+        "class_size",
+        "degree",
+        "is_odd_partition",
+        "lr_coefficient",
+        "mn_value",
+        "odd_partitions",
+    ),
+    "permgroups": (
+        "PermutationGroup",
+        "restriction_multiplicities",
+        "sylow2_subgroup",
+    ),
+    "sym": (
+        "SylowLinearLabel",
+        "ThetaLabel",
+        "WreathOddLabel",
+        "alpha_sn",
+        "alpha_sn_inverse",
+        "count_odd_irr_sn",
+        "sharp_sn",
+        "sharp_sn_inverse",
+        "star_sn",
+        "theorem_d_star",
+        "wreath_odd_labels",
+        "young_star",
+    ),
+    "glu": (
+        "GLabel",
+        "ParabolicCorrespondent",
+        "canonical_order",
+        "count_odd_irr_gl",
+        "enumerate_odd_labels",
+        "is_odd_label",
+        "levi_star",
+        "odd_label_count",
+        "parabolic_star",
+        "real_label_count",
+        "sl_correspondence_data",
+        "sl_label_census",
+    ),
+    "omega": (
+        "NormalizerLocalLabel",
+        "OmegaLabel",
+        "count_real_odd",
+        "enumerate_omega_labels",
+        "galois_act",
+        "local_to_omega",
+        "omega_to_local",
+        "outer_act",
+        "sharp_glu",
+        "sharp_glu_inverse",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME_OF))
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME_OF))
+
 
 __version__ = "0.1.0"

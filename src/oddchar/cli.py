@@ -3,28 +3,20 @@
 Exit codes: 0 success (and every verify check passed), 1 verify sweep with
 failures, 2 usage or domain error (including a verify sweep that checks
 nothing), 3 violated uniqueness/existence guarantee (never happens on a
-correct build), 4 an enumeration (group elements or labels) would exceed
-the element cap.
+correct build), 4 a verify sweep's enumeration (group elements or labels)
+would exceed the element cap, e.g. verify gl-counts --max-n 1 --q 1000003.
+count answers from closed forms, which gl-counts and corollaryF check
+against enumeration.
 """
 
 import argparse
 import json
 import sys
 
+# Only what every command needs loads here; each branch of run() imports the
+# modules its command runs, so a launch pays for no other module.
 from .errors import DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import Partition
-from .glu import GLabel, parabolic_star, count_odd_irr_gl
-from .omega import sharp_glu, count_real_odd
-from .sym import (
-    alpha_sn,
-    count_odd_irr_sn,
-    sharp_sn,
-    star_sn,
-    theorem_d_star,
-    young_star,
-)
-from .glu import levi_star
-from .verify import SUITES, run_suite
 
 USAGE_EXIT = 2
 VIOLATION_EXIT = 3
@@ -112,7 +104,7 @@ def build_parser():
     p.add_argument("--kappa", default="+", choices=["+", "-"])
 
     p = sub.add_parser("verify", help="run a named verification sweep")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    p.add_argument("suite", help="sweep name, e.g. sn-star; an unknown name lists them all")
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--q", help="comma list of prime powers")
     p.add_argument("--kappa", help="comma list drawn from +,-")
@@ -121,7 +113,12 @@ def build_parser():
 
 
 def _json_int(value):
-    return value if abs(value) <= (1 << 53) else str(value)
+    if abs(value) <= (1 << 53):
+        return value
+    try:
+        return str(value)
+    except ValueError as exc:  # past the interpreter's limit on int-to-decimal conversion
+        raise DomainError(f"the result has {value.bit_length()} bits, too many to print") from exc
 
 
 def run(argv):
@@ -129,42 +126,67 @@ def run(argv):
     cmd = args.command
 
     if cmd == "star":
+        from .sym import star_sn
+
         lam = parse_partition(args.partition)
         emit({"result": star_sn(lam).to_json()})
     elif cmd == "alpha":
+        from .sym import alpha_sn
+
         emit({"theta": alpha_sn(parse_partition(args.partition)).to_json()})
     elif cmd == "sharp":
+        from .sym import sharp_sn
+
         emit({"label": sharp_sn(parse_partition(args.partition)).to_json()})
     elif cmd == "young-star":
+        from .sym import young_star
+
         factors = young_star(parse_partition(args.partition), parse_int_list(args.blocks))
         emit({"factors": [f.to_json() for f in factors]})
     elif cmd == "wreath-star":
+        from .sym import theorem_d_star
+
         label = theorem_d_star(parse_partition(args.partition), args.k, args.t)
         emit(label.to_json())
     elif cmd == "parabolic-star":
+        from .glu import GLabel, parabolic_star
+
         label = GLabel(args.kappa, args.q, parse_pairs(args.pairs))
         emit(parabolic_star(label).to_json())
     elif cmd == "sharp-glu":
+        from .glu import GLabel
+        from .omega import sharp_glu
+
         label = GLabel(args.kappa, args.q, parse_pairs(args.pairs))
         emit(sharp_glu(label).to_json())
     elif cmd == "levi-star":
+        from .glu import GLabel, levi_star
+
         label = GLabel(args.kappa, args.q, parse_pairs(args.pairs))
         factors = levi_star(label, parse_int_list(args.blocks))
         emit({"factors": [f.to_json() for f in factors]})
     elif cmd == "count":
         if args.target == "sn":
+            from .sym import count_odd_irr_sn
+
             count = count_odd_irr_sn(args.n)
         else:
             if args.q is None:
                 raise DomainError("--q is required for gl and real counts")
+            from .glu import odd_label_count, real_label_count
+
             if args.target == "gl":
-                count = count_odd_irr_gl(args.n, args.q, args.kappa)
+                count = odd_label_count(args.n, args.q, args.kappa)
             else:
-                count = count_real_odd(args.n, args.q, args.kappa)
+                count = real_label_count(args.n, args.q, args.kappa)
         emit({"count": _json_int(count)})
     elif cmd == "verify":
+        from .verify import SUITES, run_suite
+
         if args.suite not in SUITES:
-            raise DomainError(f"unknown suite {args.suite!r}")
+            raise DomainError(
+                f"unknown suite {args.suite!r}; known suites: {', '.join(sorted(SUITES))}"
+            )
         kwargs = {"jobs": args.jobs}
         if args.max_n is not None:
             kwargs["max_n"] = args.max_n

@@ -26,6 +26,8 @@ __all__ = [
     "parabolic_star",
     "enumerate_odd_labels",
     "count_odd_irr_gl",
+    "odd_label_count",
+    "real_label_count",
     "sl_correspondence_data",
     "sl_label_census",
     "levi_star",
@@ -237,24 +239,41 @@ def _digit_groupings(exponents):
             yield grouping[:i] + ((first,) + group,) + grouping[i + 1 :]
 
 
-def check_label_count(n, modulus):
-    """Raise before a rank-n enumeration of modulus^r * 2^(sum e) labels passes the cap.
+def odd_label_count(n, q, kappa):
+    """Closed-form number of odd labels of rank n.
 
-    r is the number of binary digits of n and e runs over their exponents;
-    both the odd labels and the normalizer coordinates number exactly this.
+    The product of modulus * 2^e over the binary digits 2^e of n; the
+    normalizer coordinates number the same.
     """
+    if n < 1:
+        raise DomainError("n must be positive")
     exps = two_adic(n)
-    count = modulus ** len(exps) << sum(exps)
+    return kappa_q(kappa, q).modulus ** len(exps) << sum(exps)
+
+
+def real_label_count(n, q, kappa):
+    """Closed-form number of real odd labels of rank n (Corollary F).
+
+    2^(sum e + r) over the r binary digits 2^e of n, for every valid (kappa, q).
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    kappa_q(kappa, q)  # validates the family; the count does not depend on it
+    exps = two_adic(n)
+    return 1 << (sum(exps) + len(exps))
+
+
+def check_label_count(n, q, kappa):
+    """Raise before a rank-n enumeration of odd labels or normalizer coordinates passes the cap."""
+    count = odd_label_count(n, q, kappa)
     if count > DEFAULT_CAP:
         raise EnumerationCapError(f"{count} labels of rank {n} > cap {DEFAULT_CAP}")
 
 
 def enumerate_odd_labels(n, q, kappa):
     """All odd labels of rank n: digit-partitioned sizes, distinct residues, odd parts."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    check_label_count(n, q, kappa)
     mod = kappa_q(kappa, q).modulus
-    check_label_count(n, mod)
     out = []
     for grouping in _digit_groupings(two_adic(n)):
         sizes = [sum(1 << e for e in group) for group in grouping]

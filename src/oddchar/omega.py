@@ -218,10 +218,8 @@ def outer_act(word, x):
 
 def enumerate_omega_labels(n, q, kappa):
     """The full coordinate space: every residue and hook choice per block."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    check_label_count(n, q, kappa)
     mod = kappa_q(kappa, q).modulus
-    check_label_count(n, mod)
     blocks = [
         [(size, s, HookPartition(size, leg)) for s in range(mod) for leg in range(size)]
         for size in (1 << e for e in two_adic(n))

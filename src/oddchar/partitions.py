@@ -131,7 +131,7 @@ class HookPartition:
         return self.m - self.leg
 
     def to_partition(self):
-        return Partition((self.m - self.leg,) + (1,) * self.leg)
+        return Partition._trusted((self.m - self.leg,) + (1,) * self.leg)
 
     @classmethod
     def from_partition(cls, p):

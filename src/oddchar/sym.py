@@ -193,7 +193,7 @@ def alpha_sn(lam):
 
 def alpha_sn_inverse(theta):
     """Reattach hooks from the smallest block upward; inverse of alpha_sn."""
-    cur = Partition()
+    cur = Partition._trusted(())
     for hook in reversed(theta.hooks):
         cur = attach_unique_gamma(cur, hook, cur.n + hook.m)
     if not is_odd_partition(cur):

@@ -10,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length, two_adic
+from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length
 from .characters import (
     branch_restrict,
     degree,
@@ -29,7 +29,7 @@ from .sym import (
     wreath_index_is_odd,
     wreath_odd_labels,
 )
-from .glu import count_odd_irr_gl, enumerate_odd_labels, kappa_q
+from .glu import count_odd_irr_gl, enumerate_odd_labels, kappa_q, odd_label_count, real_label_count
 from .omega import enumerate_omega_labels, galois_act, outer_act, sharp_glu, count_real_odd
 
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
@@ -260,18 +260,10 @@ def suite_theorem_d(max_n=8, jobs=1, **_):
     return _sweep(report, pairs, _check_theorem_d, jobs)
 
 
-def _closed_form_gl(n, q, kappa):
-    mod = kappa_q(kappa, q).modulus
-    count = 1
-    for e in two_adic(n):
-        count *= mod << e
-    return count
-
-
 def _check_gl_count(item):
     n, q, kappa = item
     actual = count_odd_irr_gl(n, q, kappa)
-    expected = _closed_form_gl(n, q, kappa)
+    expected = odd_label_count(n, q, kappa)
     ces = []
     if actual != expected:
         ces.append({"input": [n, q, kappa], "expected": expected, "actual": actual})
@@ -335,9 +327,8 @@ def suite_galois_equivariance(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, 
 
 def _check_corollary_f(item):
     n, q, kappa = item
-    exps = two_adic(n)
-    expected = 1 << (sum(exps) + len(exps))
     actual = count_real_odd(n, q, kappa)
+    expected = real_label_count(n, q, kappa)
     ces = []
     if actual != expected:
         ces.append({"input": [n, q, kappa], "expected": expected, "actual": actual})

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from oddchar.cli import main, parse_pairs, parse_partition
+import oddchar
 from oddchar import cli, verify
 from oddchar.errors import DomainError, EnumerationCapError
 from oddchar.partitions import (
@@ -89,6 +90,35 @@ def test_counts(capsys):
     assert run_cli("count", "real", "--n", "2", "--q", "1") == 2
 
 
+def test_counts_agree_with_enumeration(capsys):
+    from oddchar.characters import odd_partitions
+    from oddchar.glu import count_odd_irr_gl
+    from oddchar.omega import count_real_odd
+
+    for n in range(1, 8):
+        for q in (3, 5, 7, 9):
+            for kappa in ("+", "-"):
+                opts = ["--n", str(n), "--q", str(q), "--kappa", kappa]
+                assert run_cli_json(capsys, "count", "gl", *opts) == (
+                    0, {"count": count_odd_irr_gl(n, q, kappa)}
+                )
+                assert run_cli_json(capsys, "count", "real", *opts) == (
+                    0, {"count": count_real_odd(n, q, kappa)}
+                )
+    for n in range(1, 21):
+        assert run_cli_json(capsys, "count", "sn", "--n", str(n)) == (
+            0, {"count": len(odd_partitions(n))}
+        )
+
+
+def test_count_too_large_to_print_is_usage_error(capsys):
+    n = str(2**170 - 1)  # 2^(sum of the digit exponents) has more than 4300 decimal digits
+    for argv in (["sn", "--n", n], ["gl", "--n", n, "--q", "3"]):
+        assert run_cli("count", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "too many to print" in captured.err
+
+
 def test_glu_commands(capsys):
     code, payload = run_cli_json(
         capsys, "sharp-glu", "--kappa", "+", "--q", "3", "--pairs", "s=1:l=2"
@@ -118,8 +148,15 @@ def test_large_q_is_tested_exactly():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["q"] == int(big)
+    # q - 1 labels of rank 1: count answers from the closed form, past 2^53 as a string
     out = subprocess.run(args + ["count", "gl", "--n", "1", "--q", big], capture_output=True, timeout=30)
-    assert out.returncode == cli.CAP_EXIT  # q - 1 labels of rank 1
+    assert out.returncode == 0 and out.stdout == b'{"count":"1000000000000000002"}\n'
+    for suite in ("gl-counts", "corollaryF"):
+        out = subprocess.run(
+            args + ["verify", suite, "--max-n", "1", "--q", big], capture_output=True, timeout=30
+        )
+        assert out.returncode == cli.CAP_EXIT and out.stdout == b""
+        assert b"1000000000000000002 labels" in out.stderr
     two_primes = str(1000000007 * 998244353)
     out = subprocess.run(
         args + ["count", "gl", "--n", "1", "--q", two_primes], capture_output=True, timeout=30
@@ -144,6 +181,14 @@ def test_verify_command(capsys):
     assert run_cli("verify", "unknown-suite") == 2
 
 
+def test_unknown_suite_names_the_choices(capsys):
+    assert run_cli("verify", "nosuch") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown suite 'nosuch'" in captured.err
+    assert all(name in captured.err for name in verify.SUITES)
+
+
 def test_verify_without_checks_is_usage_error(capsys):
     assert run_cli("verify", "sharp-oracle", "--max-n", "0") == 2
     captured = capsys.readouterr()
@@ -155,14 +200,21 @@ def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
     def over_cap(suite, **kwargs):
         raise EnumerationCapError("element cap 200000 exceeded")
 
-    monkeypatch.setattr(cli, "run_suite", over_cap)
-    assert run_cli("verify", "sharp-oracle", "--max-n", "20") == cli.CAP_EXIT == 4
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "run_suite", over_cap)
+        assert run_cli("verify", "sharp-oracle", "--max-n", "20") == cli.CAP_EXIT == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cap" in captured.err and "Traceback" not in captured.err
-    # 1,000,002 labels each: refused by count before any label is built
-    for family in ("gl", "real"):
-        assert run_cli("count", family, "--n", "1", "--q", "1000003") == 4
+    # 1,000,002 labels each: count answers from the closed form, the sweeps
+    # that enumerate them are refused before any label is built
+    for family, suite, stdout in (
+        ("gl", "gl-counts", '{"count":1000002}\n'),
+        ("real", "corollaryF", '{"count":2}\n'),
+    ):
+        assert run_cli("count", family, "--n", "1", "--q", "1000003") == 0
+        assert capsys.readouterr().out == stdout
+        assert run_cli("verify", suite, "--max-n", "1", "--q", "1000003") == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1000002 labels" in captured.err
@@ -208,6 +260,88 @@ def test_cli_import_leaves_process_pool_out():
     code = "import sys, oddchar.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+# Prints the oddchar modules a fresh interpreter holds after one cli.main(argv),
+# or after a bare `import oddchar` when argv is empty.
+FOOTPRINT = """
+import contextlib, io, sys
+import oddchar
+if sys.argv[1:]:
+    from oddchar import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main(sys.argv[1:])
+        except SystemExit:
+            pass
+print(" ".join(sorted(m for m in sys.modules if m.startswith("oddchar"))))
+"""
+
+
+def _loaded_after(*argv):
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_cli_loads_only_the_modules_a_command_runs():
+    core = {"oddchar", "oddchar.errors", "oddchar.partitions"}
+    assert _loaded_after() == core
+    star = {"oddchar.characters", "oddchar.sym", "oddchar.cli"}
+    assert _loaded_after("star", "3,1") == core | star
+    loaded = _loaded_after("count", "gl", "--n", "5", "--q", "5")
+    assert not loaded & {"oddchar.omega", "oddchar.verify", "oddchar.permgroups"}
+
+
+# Every name the package exported when it imported all its modules eagerly, by home module.
+EXPORTS = {
+    "errors": "DomainError EnumerationCapError OddcharError TheoremViolationError",
+    "partitions": "HookPartition Partition RimHook attach_unique_gamma binom_is_odd m_core nu2 "
+    "odd_multinomial_order partitions rim_hooks_of_length two_adic unique_descent",
+    "characters": "CycleType branch_restrict class_size degree is_odd_partition lr_coefficient "
+    "mn_value odd_partitions",
+    "permgroups": "PermutationGroup restriction_multiplicities sylow2_subgroup",
+    "sym": "SylowLinearLabel ThetaLabel WreathOddLabel alpha_sn alpha_sn_inverse count_odd_irr_sn "
+    "sharp_sn sharp_sn_inverse star_sn theorem_d_star wreath_odd_labels young_star",
+    "glu": "GLabel ParabolicCorrespondent canonical_order count_odd_irr_gl enumerate_odd_labels "
+    "is_odd_label levi_star parabolic_star sl_correspondence_data sl_label_census",
+    "omega": "NormalizerLocalLabel OmegaLabel count_real_odd enumerate_omega_labels galois_act "
+    "local_to_omega omega_to_local outer_act sharp_glu sharp_glu_inverse",
+}
+
+
+def test_lazy_namespace_keeps_every_export():
+    code = """
+import contextlib, importlib, io, json, sys
+import oddchar
+import oddchar.partitions
+from oddchar import cli
+function_after_import = oddchar.partitions is sys.modules["oddchar.partitions"].partitions
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["sharp-glu", "--q", "3", "--pairs", "s=1:l=2"])
+    except SystemExit:
+        pass
+function_after_cli = oddchar.partitions is sys.modules["oddchar.partitions"].partitions
+listed = dir(oddchar)
+missing = [
+    name
+    for home, names in json.loads(sys.argv[1]).items()
+    for name in names.split()
+    if name not in listed
+    or getattr(oddchar, name) is not getattr(importlib.import_module("oddchar." + home), name)
+]
+print(json.dumps([function_after_import, function_after_cli, missing]))
+"""
+    argv = [sys.executable, "-c", code, json.dumps(EXPORTS)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [True, True, []]
+    namespace = {}
+    exec("from oddchar import *", namespace)
+    assert {name for names in EXPORTS.values() for name in names.split()} <= namespace.keys()
+    with pytest.raises(AttributeError):
+        oddchar.no_such_name
 
 
 def _lemma42_per_pair(max_m):

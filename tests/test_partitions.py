@@ -104,6 +104,8 @@ def test_internal_builders_yield_valid_partitions():
             if n:
                 for mu in branch_restrict(lam):
                     assert_valid(mu)
+                for leg in range(n):
+                    assert_valid(HookPartition(n, leg).to_partition())
 
 
 def test_partition_conjugate_involution():
