@@ -60,7 +60,10 @@ def parse_pairs(text):
 
 
 def parse_int_list(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise DomainError(f"bad integer list {text!r}: {exc}") from exc
 
 
 def emit(payload):

@@ -13,7 +13,14 @@ from itertools import permutations as _permutations, product
 from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
-from .partitions import Partition, nu2, odd_multinomial_order, split_by_digit, two_adic
+from .partitions import (
+    Partition,
+    _trusted_label,
+    nu2,
+    odd_multinomial_order,
+    split_by_digit,
+    two_adic,
+)
 from .characters import is_odd_partition, odd_partitions
 from .sym import star_sn
 
@@ -149,7 +156,7 @@ class GLabel:
             raise DomainError("residues must be pairwise distinct")
         if any(lam.n == 0 for _, lam in self.pairs):
             raise DomainError("empty partitions are not allowed in labels")
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=lambda p: p[0])))
+        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=_residue)))
 
     @property
     def modulus(self):
@@ -173,6 +180,15 @@ class GLabel:
             int(data["q"]),
             tuple((int(p["s"]), Partition.from_json(p["lambda"])) for p in data["pairs"]),
         )
+
+
+def _residue(pair):
+    return pair[0]
+
+
+def _trusted_glabel(kappa, q, pairs):
+    """Internal: a GLabel from pairs known to be valid, sorted into canonical form unchecked."""
+    return _trusted_label(GLabel, kappa, q, tuple(sorted(pairs, key=_residue)))
 
 
 @dataclass(frozen=True)
@@ -280,7 +296,7 @@ def enumerate_odd_labels(n, q, kappa):
         choices = [odd_partitions(k) for k in sizes]
         for residues in _permutations(range(mod), len(sizes)):
             levels = [[(s, lam) for lam in choice] for s, choice in zip(residues, choices)]
-            out.extend(GLabel(kappa, q, pairs) for pairs in product(*levels))
+            out.extend(_trusted_glabel(kappa, q, pairs) for pairs in product(*levels))
     return out
 
 

@@ -9,12 +9,13 @@ a finite check.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import DomainError, TheoremViolationError
-from .partitions import HookPartition, check_two_adic_layout, two_adic
+from .partitions import HookPartition, _trusted_label, check_two_adic_layout, two_adic
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
-from .glu import GLabel, canonical_order, check_label_count, kappa_q
+from .glu import GLabel, _trusted_glabel, canonical_order, check_label_count, kappa_q
 
 __all__ = [
     "OmegaLabel",
@@ -142,6 +143,18 @@ def omega_to_local(kappa, q, s, hook):
     )
 
 
+@cache
+def _partition_hooks(lam):
+    """alpha_sn(lam).hooks, stripped once per label partition.
+
+    Galois and outer actions fix every partition of a label, so sharp_glu
+    meets the same few partitions again and again. alpha_sn itself stays
+    uncached: sweeps over large n strip thousands of distinct partitions once
+    each, and a cache there would only hold memory.
+    """
+    return alpha_sn(lam).hooks
+
+
 def sharp_glu(label):
     """Normalizer-side coordinates of an odd label.
 
@@ -151,14 +164,14 @@ def sharp_glu(label):
     """
     entries = {}
     for s, lam in canonical_order(label):
-        theta = alpha_sn(lam)
-        for hook in theta.hooks:
+        for hook in _partition_hooks(lam):
             e = hook.m.bit_length() - 1
             if e in entries:
                 raise TheoremViolationError("two pairs claim the same 2-adic block")
             entries[e] = (hook.m, s, hook)
-    blocks = tuple(entries[e] for e in two_adic(label.n))
-    return OmegaLabel(label.kappa, label.q, blocks)
+    # the pairs own disjoint digits, so these are the 2-adic blocks of label.n
+    blocks = tuple(entries[e] for e in sorted(entries, reverse=True))
+    return _trusted_label(OmegaLabel, label.kappa, label.q, blocks)
 
 
 def sharp_glu_inverse(omega):
@@ -170,7 +183,7 @@ def sharp_glu_inverse(omega):
     for s, hooks in groups.items():
         lam = alpha_sn_inverse(ThetaLabel(tuple(hooks)))
         pairs.append((s, lam))
-    label = GLabel(omega.kappa, omega.q, tuple(pairs))
+    label = _trusted_glabel(omega.kappa, omega.q, pairs)
     try:
         image = sharp_glu(label)
     except DomainError as exc:
@@ -181,11 +194,12 @@ def sharp_glu_inverse(omega):
 
 
 def _act_on_residue(fn, x):
+    """Move every residue of x by fn, a permutation of the residues."""
     if isinstance(x, GLabel):
-        return GLabel(x.kappa, x.q, tuple((fn(s), lam) for s, lam in x.pairs))
+        return _trusted_glabel(x.kappa, x.q, [(fn(s), lam) for s, lam in x.pairs])
     if isinstance(x, OmegaLabel):
-        return OmegaLabel(
-            x.kappa, x.q, tuple((size, fn(s), hook) for size, s, hook in x.blocks)
+        return _trusted_label(
+            OmegaLabel, x.kappa, x.q, tuple((size, fn(s), hook) for size, s, hook in x.blocks)
         )
     raise DomainError(f"cannot act on {type(x).__name__}")
 
@@ -224,7 +238,7 @@ def enumerate_omega_labels(n, q, kappa):
         [(size, s, HookPartition(size, leg)) for s in range(mod) for leg in range(size)]
         for size in (1 << e for e in two_adic(n))
     ]
-    return [OmegaLabel(kappa, q, combo) for combo in product(*blocks)]
+    return [_trusted_label(OmegaLabel, kappa, q, combo) for combo in product(*blocks)]
 
 
 def count_real_odd(n, q, kappa):

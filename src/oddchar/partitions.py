@@ -8,7 +8,8 @@ constructor, Partition.from_json and the CLI parser (which calls the
 constructor). Internal builders whose output is a partition by construction
 (partitions(), conjugate(), rim-hook remainders, branch_restrict and the
 character caches) wrap their tuples with the private, unchecked
-Partition._trusted; it is internal-only and never sees user data.
+Partition._trusted; it is internal-only and never sees user data. Labels
+follow the same rule through _trusted_label.
 """
 
 import math
@@ -114,6 +115,20 @@ class Partition:
         return cls(data)
 
 
+def _trusted_label(cls, *values):
+    """Internal: a frozen label dataclass from field values known to be valid.
+
+    The label counterpart of Partition._trusted: the fields are set in
+    declaration order and __post_init__ does not run. Only builders whose
+    output is valid by construction call it; public constructors, from_json
+    and the CLI parser keep every check.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(self, name, value)
+    return self
+
+
 @dataclass(frozen=True)
 class HookPartition:
     """The hook (m - leg, 1^leg), encoded by total size and leg length."""
@@ -149,12 +164,22 @@ class HookPartition:
 
 @dataclass(frozen=True)
 class RimHook:
-    """A removable border strip: contiguous rim cells with no 2x2 block."""
+    """A removable border strip: contiguous rim cells with no 2x2 block.
 
-    cells: tuple
+    The strip is fixed by the parts of the diagram it is removed from and its
+    corner cell (row, col), 1-indexed; its cells are listed only when read.
+    """
+
     length: int
     rows_spanned: int
     cols_spanned: int
+    parts: tuple
+    corner: tuple
+
+    @property
+    def cells(self):
+        i, j = self.corner
+        return _rim_cells(self.parts, i, j, i + self.rows_spanned - 1)
 
     def hook_type(self):
         """Hook partition of the same shape class: arm count = columns spanned."""
@@ -276,8 +301,7 @@ def rim_hooks_of_length(lam, m):
             if arm + leg + 1 != m:
                 continue
             l = i + leg
-            cells = _rim_cells(lam.parts, i, j, l)
-            hook = RimHook(cells, m, leg + 1, arm + 1)
+            hook = RimHook(m, leg + 1, arm + 1, lam.parts, (i, j))
             rest = list(lam.parts)
             for t in range(i, l):
                 rest[t - 1] = lam.parts[t] - 1

@@ -20,6 +20,7 @@ from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
     Partition,
+    _trusted_label,
     attach_unique_gamma,
     check_two_adic_layout,
     nu2,
@@ -188,7 +189,7 @@ def alpha_sn(lam):
         hooks.append(hook_type)
     if cur.n != 0:
         raise TheoremViolationError(f"nonempty remainder {cur} after stripping {lam}")
-    return ThetaLabel(tuple(hooks))
+    return _trusted_label(ThetaLabel, tuple(hooks))
 
 
 def alpha_sn_inverse(theta):
@@ -228,8 +229,9 @@ def bits_to_hook(bits):
 def sharp_sn(lam):
     """Linear-character label of the Sylow 2-subgroup attached to an odd partition."""
     theta = alpha_sn(lam)
-    return SylowLinearLabel(
-        tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in theta.hooks)
+    return _trusted_label(
+        SylowLinearLabel,
+        tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in theta.hooks),
     )
 
 

@@ -59,6 +59,23 @@ def test_malformed_pairs_exit_usage(capsys, text):
     assert captured.err.startswith("error: bad pair") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["young-star", "3", "--blocks", "x"],
+        ["levi-star", "--q", "3", "--pairs", "s=1:l=3", "--blocks", "x"],
+        ["verify", "gl-counts", "--q", "x"],
+        ["sharp-glu", "--q", "3", "--pairs", "s=0:l=1;s=0:l=2"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_values_exit_usage(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_star_command(capsys):
     code, payload = run_cli_json(capsys, "star", "2,2,1")
     assert code == 0 and payload == {"result": [2, 1, 1]}

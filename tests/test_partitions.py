@@ -3,8 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddchar.characters import branch_restrict
+from oddchar.characters import branch_restrict, odd_partitions
 from oddchar.errors import DomainError
+from oddchar.glu import GLabel, enumerate_odd_labels, kappa_q
+from oddchar.omega import (
+    OmegaLabel,
+    enumerate_omega_labels,
+    galois_act,
+    outer_act,
+    sharp_glu,
+    sharp_glu_inverse,
+)
 from oddchar.partitions import (
     HookPartition,
     Partition,
@@ -18,6 +27,7 @@ from oddchar.partitions import (
     two_adic,
     unique_descent,
 )
+from oddchar.sym import SylowLinearLabel, ThetaLabel, alpha_sn, sharp_sn
 
 
 # ---------------------------------------------------------------- oracles
@@ -106,6 +116,114 @@ def test_internal_builders_yield_valid_partitions():
                     assert_valid(mu)
                 for leg in range(n):
                     assert_valid(HookPartition(n, leg).to_partition())
+
+
+def test_internal_builders_yield_valid_labels():
+    """Labels built by the unchecked internal path equal their validated rebuilds."""
+    rebuild = {
+        ThetaLabel: lambda x: ThetaLabel(x.hooks),
+        SylowLinearLabel: lambda x: SylowLinearLabel(x.blocks),
+        OmegaLabel: lambda x: OmegaLabel(x.kappa, x.q, x.blocks),
+        GLabel: lambda x: GLabel(x.kappa, x.q, x.pairs),
+    }
+
+    def assert_valid(x):
+        checked = rebuild[type(x)](x)
+        assert checked == x and hash(checked) == hash(x)
+
+    for n in range(1, 8):
+        for lam in odd_partitions(n):
+            assert_valid(alpha_sn(lam))
+            assert_valid(sharp_sn(lam))
+        for q in (3, 5, 9):
+            for kappa in ("+", "-"):
+                mod = kappa_q(kappa, q).modulus
+                units = [i for i in range(1, mod) if math.gcd(i, mod) == 1]
+                words = ["F"] + (["tau", "F tau"] if kappa == "+" else [])
+                for label in enumerate_odd_labels(n, q, kappa):
+                    image = sharp_glu(label)
+                    for x in (label, image):
+                        assert_valid(x)
+                        for i in units:
+                            assert_valid(galois_act(i, x))
+                        for word in words:
+                            assert_valid(outer_act(word, x))
+                for omega in enumerate_omega_labels(n, q, kappa):
+                    assert_valid(omega)
+                    assert_valid(sharp_glu_inverse(omega))
+
+
+def _hook_json(m):
+    return {"m": m, "leg": 0}
+
+
+# (label class, constructor call, JSON) with a wrong block layout, a residue
+# out of range, a duplicate residue or an empty partition. OmegaLabel blocks
+# may share a residue, since one pair can own several blocks; its duplicate
+# is a block size twice, a wrong layout.
+BAD_LABELS = [
+    (
+        ThetaLabel,
+        lambda: ThetaLabel((HookPartition(1, 0), HookPartition(2, 0))),
+        [_hook_json(1), _hook_json(2)],
+    ),
+    (ThetaLabel, lambda: ThetaLabel((HookPartition(0, 0),)), [_hook_json(0)]),
+    (
+        SylowLinearLabel,
+        lambda: SylowLinearLabel(((1, ()), (2, (0,)))),
+        [{"size": 1, "bits": []}, {"size": 2, "bits": [0]}],
+    ),
+    (SylowLinearLabel, lambda: SylowLinearLabel(((0, ()),)), [{"size": 0, "bits": []}]),
+    (
+        OmegaLabel,
+        lambda: OmegaLabel("+", 3, ((1, 0, HookPartition(1, 0)), (2, 0, HookPartition(2, 0)))),
+        {"kappa": "+", "q": 3, "blocks": [
+            {"size": 1, "s": 0, "hook": _hook_json(1)},
+            {"size": 2, "s": 0, "hook": _hook_json(2)},
+        ]},
+    ),
+    (
+        OmegaLabel,
+        lambda: OmegaLabel("+", 3, ((1, 0, HookPartition(1, 0)), (1, 1, HookPartition(1, 0)))),
+        {"kappa": "+", "q": 3, "blocks": [
+            {"size": 1, "s": 0, "hook": _hook_json(1)},
+            {"size": 1, "s": 1, "hook": _hook_json(1)},
+        ]},
+    ),
+    (
+        OmegaLabel,
+        lambda: OmegaLabel("+", 3, ((1, 2, HookPartition(1, 0)),)),
+        {"kappa": "+", "q": 3, "blocks": [{"size": 1, "s": 2, "hook": _hook_json(1)}]},
+    ),
+    (
+        OmegaLabel,
+        lambda: OmegaLabel("-", 3, ((1, 0, HookPartition(0, 0)),)),
+        {"kappa": "-", "q": 3, "blocks": [{"size": 1, "s": 0, "hook": _hook_json(0)}]},
+    ),
+    (
+        GLabel,
+        lambda: GLabel("+", 3, ((2, Partition((1,))),)),
+        {"kappa": "+", "q": 3, "pairs": [{"s": 2, "lambda": [1]}]},
+    ),
+    (
+        GLabel,
+        lambda: GLabel("-", 3, ((0, Partition((1,))), (0, Partition((2,))))),
+        {"kappa": "-", "q": 3, "pairs": [{"s": 0, "lambda": [1]}, {"s": 0, "lambda": [2]}]},
+    ),
+    (
+        GLabel,
+        lambda: GLabel("+", 5, ((1, Partition(())),)),
+        {"kappa": "+", "q": 5, "pairs": [{"s": 1, "lambda": []}]},
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, construct, data", BAD_LABELS)
+def test_label_entry_points_still_validate(cls, construct, data):
+    with pytest.raises(DomainError):
+        construct()
+    with pytest.raises(DomainError):
+        cls.from_json(data)
 
 
 def test_partition_conjugate_involution():
