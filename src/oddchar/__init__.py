@@ -2,10 +2,11 @@
 
 Partitions, hooks and rim hooks; brute-force symmetric-group oracles
 (hook-length degrees, Murnaghan-Nakayama values, Littlewood-Richardson
-coefficients, explicit Sylow 2-subgroups); the canonical odd-degree
-correspondences for symmetric groups, their odd-index maximal subgroups and
-Sylow 2-subgroups; and the label-level correspondences for finite general
-linear and unitary groups with Galois/outer equivariance.
+coefficients); explicit Sylow 2-subgroups with a restriction oracle from the
+wreath-tower recursion; the canonical odd-degree correspondences for
+symmetric groups, their odd-index maximal subgroups and Sylow 2-subgroups;
+and the label-level correspondences for finite general linear and unitary
+groups with Galois/outer equivariance.
 
 Errors and partitions load with the package; every other public name loads
 its home module on first use.
@@ -44,7 +45,6 @@ _HOMES = {
         "odd_partitions",
     ),
     "permgroups": (
-        "PermutationGroup",
         "restriction_multiplicities",
         "sylow2_subgroup",
     ),

@@ -3,8 +3,9 @@
 Exit codes: 0 success (and every verify check passed), 1 verify sweep with
 failures, 2 usage or domain error (including a verify sweep that checks
 nothing), 3 violated uniqueness/existence guarantee (never happens on a
-correct build), 4 a verify sweep's enumeration (group elements or labels)
-would exceed the element cap, e.g. verify gl-counts --max-n 1 --q 1000003.
+correct build), 4 a verify sweep would exceed the element cap: a label
+enumeration (e.g. verify gl-counts --max-n 1 --q 1000003) or a Sylow
+2-subgroup order (verify sharp-oracle --max-n 20), checked before any work.
 count answers from closed forms, which gl-counts and corollaryF check
 against enumeration.
 """

@@ -13,8 +13,10 @@ follow the same rule through _trusted_label.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 from .errors import DomainError, TheoremViolationError
 
@@ -247,16 +249,10 @@ def odd_multinomial_order(parts):
     parts = list(parts)
     if not parts or any(a < 1 for a in parts):
         raise DomainError("parts must be a nonempty list of positive integers")
-    remaining = sum(parts)
-    for a in parts:
-        if not binom_is_odd(remaining, a):
-            return None
-        remaining -= a
-    ordered = sorted(parts, key=nu2)
-    vals = [nu2(a) for a in ordered]
-    assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
-    assert vals[0] == nu2(sum(parts))
-    return ordered
+    # odd exactly when adding the parts in binary makes no carry (Kummer)
+    if reduce(or_, parts) != sum(parts):
+        return None
+    return sorted(parts, key=nu2)
 
 
 def unique_descent(n, a):
@@ -360,19 +356,21 @@ def attach_unique_gamma(alpha, beta, n):
 
 
 @cache
-def _partition_tuples(n, max_part):
+def _partition_tuples(n):
     if n == 0:
         return ((),)
     out = []
-    for head in range(min(n, max_part), 0, -1):
-        out.extend((head,) + tail for tail in _partition_tuples(n - head, head))
+    for head in range(n, 0, -1):
+        tails = _partition_tuples(n - head)
+        if head < n - head:
+            # reverse lexicographic order: the tails with first part <= head are a suffix
+            tails = tails[bisect_left(tails, -head, key=lambda t: -t[0]):]
+        out.extend((head,) + tail for tail in tails)
     return tuple(out)
 
 
-def partitions(n, max_part=None):
+def partitions(n):
     """All partitions of n in reverse lexicographic order."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if max_part is None:
-        max_part = n
-    return [Partition._trusted(t) for t in _partition_tuples(n, max_part)]
+    return [Partition._trusted(t) for t in _partition_tuples(n)]

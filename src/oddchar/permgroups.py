@@ -1,267 +1,153 @@
-"""Desk-scale permutation groups: Sylow 2-subgroups and restriction oracles.
+"""Sylow 2-subgroups of symmetric groups and their restriction oracle.
 
-Permutations are tuples of images on 0-indexed points. A group is enumerated
-by one breadth-first closure from the identity with a hard cap; exceeding the
-cap raises, it never truncates. The closure records each element's F2 word
-vector over the generators, and every Cayley edge that closes a cycle adds a
-relation. Word vectors modulo the relation span are coordinates on
-G / G^2 [G, G], the quotient every +-1 character factors through, so linear
-characters need no derived subgroup. All of this is deliberately independent
-of the wreath-tower labeling used by the correspondence modules.
+A Sylow 2-subgroup P of S_n is one iterated wreath tower per 2-adic block of
+n, with P_1 = 1 and P_{2m} = P_m wr C_2. A linear character of P is one sign
+per tower level, so nothing is enumerated: a recursion over the towers sums
+every linear character over the elements of each cycle type, and the
+restriction multiplicities are exact inner products of those sums with the
+Murnaghan-Nakayama values. Only the group structure and mn_value enter; the
+oracle is deliberately independent of the wreath-tower labelling used by the
+correspondence modules (alpha_sn, hook_to_bits, the Gray code).
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
 from .characters import mn_value
 from .partitions import Partition, two_adic
 
 __all__ = [
-    "PermutationGroup",
-    "LinearCharacter",
-    "identity_perm",
-    "compose",
-    "cycle_type",
     "sylow2_subgroup",
     "restriction_multiplicities",
 ]
 
 
-def identity_perm(n):
-    return tuple(range(n))
+def _add(sums, cycle_type, row):
+    """sums[cycle_type] += row, entry by entry."""
+    acc = sums.get(cycle_type)
+    if acc is None:
+        sums[cycle_type] = row
+    else:
+        for w, v in enumerate(row):
+            acc[w] += v
 
 
-def compose(p, q):
-    """Apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+def _union(t1, t2):
+    return tuple(sorted(t1 + t2, reverse=True))
 
 
-def cycle_type(p):
-    """Cycle type of a permutation as a partition of its degree."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
+@cache
+def _tower_sums(e):
+    """Character sums over the wreath tower on 2**e points, by cycle type.
+
+    Maps each cycle type t (a descending tuple) to the list whose entry w is
+    the sum of phi_w(x) over the x of type t; bit j - 1 of w is the sign of
+    phi_w on the level-j generator (level 1 swaps pairs). The tower is
+    (A x B) <s> with A, B copies of the tower on 2**(e - 1) points and s the
+    top swap. A base element ab has type t(a) + t(b) and value
+    psi(a) psi(b) under either top sign. An element abs has the cycles of
+    ab doubled and value +-psi(ab), and each x = ab arises |A| times.
+    """
+    if e == 0:
+        return {(1,): [1]}
+    below = _tower_sums(e - 1).items()
+    count = 1 << ((1 << (e - 1)) - 1)  # |A| = 2**(2**(e - 1) - 1)
+    sums = {}
+    for t1, r1 in below:
+        for t2, r2 in below:
+            row = [a * b for a, b in zip(r1, r2)]
+            _add(sums, _union(t1, t2), row + row)
+    for t, r in below:
+        _add(sums, tuple(2 * c for c in t), [count * v for v in r] + [-count * v for v in r])
+    return sums
 
 
-class PermutationGroup:
-    """A permutation group given by generators, with full desk-scale enumeration."""
+class Sylow2Subgroup:
+    """A Sylow 2-subgroup of S_n: one wreath tower per 2-adic block of n.
 
-    def __init__(self, degree, generators, cap=DEFAULT_CAP):
-        self.degree = degree
-        self.cap = cap
+    Blocks lie consecutively in decreasing size. generators lists each
+    block's level generators, levels ascending: level j swaps the two halves
+    of the block's first 2**j points and, with its conjugates under the lower
+    levels, generates that tower.
+    """
+
+    def __init__(self, n):
+        self.degree = n
+        self.order = 1 << (n - n.bit_count())
+        self.blocks = two_adic(n)
         gens = []
-        for g in generators:
-            g = tuple(g)
-            if sorted(g) != list(range(degree)):
-                raise DomainError(f"not a permutation of {degree} points: {g}")
-            gens.append(g)
+        self._mask_bits = []
+        start = 0
+        low = sum(self.blocks)
+        for e in self.blocks:
+            low -= e  # the smaller blocks own the low mask bits
+            for j in range(e):
+                half = 1 << j
+                images = list(range(n))
+                images[start:start + 2 * half] = [
+                    *range(start + half, start + 2 * half),
+                    *range(start, start + half),
+                ]
+                gens.append(tuple(images))
+                self._mask_bits.append(low + j)
+            start += 1 << e
         self.generators = tuple(gens)
 
-    @cached_property
-    def _words(self):
-        """One breadth-first closure from the identity.
+    def on_generators(self, mask):
+        """Values of the linear character phi_mask on the generator list."""
+        return tuple(-1 if mask >> b & 1 else 1 for b in self._mask_bits)
 
-        Returns (word, relations). word maps each element to its F2 word
-        vector: bit i is the parity of generator i on the element's closure
-        path. Each Cayley edge y = g_i x that reaches a known y adds the
-        relation word[x] ^ (1 << i) ^ word[y]; relations is their span.
+    @cached_property
+    def class_sums(self):
+        """Cycle type -> [sum of phi_mask over the elements of that type, by mask].
+
+        The product of the block towers; the smallest block owns the low mask
+        bits, so mask bit b is the b-th tower level counted from the smallest
+        block up, ascending within each block.
         """
-        ident = identity_perm(self.degree)
-        word = {ident: 0}
-        relations = {0}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for i, g in enumerate(self.generators):
-                bit = 1 << i
-                for x in frontier:
-                    y = compose(g, x)
-                    w = word[x] ^ bit
-                    known = word.get(y)
-                    if known is None:
-                        word[y] = w
-                        new.append(y)
-                        if len(word) > self.cap:
-                            raise EnumerationCapError(f"element cap {self.cap} exceeded")
-                    elif known ^ w not in relations:
-                        relations |= {r ^ known ^ w for r in relations}
-            frontier = new
-        return word, relations
-
-    @cached_property
-    def elements(self):
-        return frozenset(self._words[0])
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __contains__(self, p):
-        return tuple(p) in self.elements
-
-    @cached_property
-    def _quotient(self):
-        """F2 coordinates on G / G^2 [G, G], the quotient every +-1 character factors through.
-
-        Returns (coord, dim): coord maps each word vector to its coordinate in
-        F2^dim; word vectors that differ by a relation share one. The basis is
-        grown greedily from the sorted coset minima, which fixes the mask
-        order of linear_characters().
-        """
-        word, relations = self._words
-        canon = {w: min(w ^ r for r in relations) for w in set(word.values())}
-        least = {}
-        for x, w in word.items():
-            c = canon[w]
-            if c not in least or x < least[c]:
-                least[c] = x
-        coords = {0: 0}
-        dim = 0
-        for x in sorted(least.values()):
-            c = canon[word[x]]
-            if c in coords:
-                continue
-            bit = 1 << dim
-            dim += 1
-            for known, vec in list(coords.items()):
-                coords[min(known ^ c ^ r for r in relations)] = vec | bit
-        return {w: coords[c] for w, c in canon.items()}, dim
-
-    def abelianization_order(self):
-        """Order of G / G^2 [G, G]; the abelianization for these Sylow 2-subgroups."""
-        return 1 << self._quotient[1]
-
-    @cached_property
-    def _class_histogram(self):
-        """Element counts by cycle type and quotient coordinate.
-
-        Maps each cycle type t to a list whose entry v counts the elements of
-        type t with F2 coordinate vector v. Built once per group.
-        """
-        word, _ = self._words
-        coord, dim = self._quotient
-        counts = {}
-        for h, w in word.items():
-            t = cycle_type(h)
-            row = counts.get(t)
-            if row is None:
-                row = counts[t] = [0] * (1 << dim)
-            row[coord[w]] += 1
-        return counts
-
-    def linear_characters(self):
-        """All homomorphisms to {+1, -1}, in mask order over the quotient coordinates."""
-        return [LinearCharacter(self, mask) for mask in range(1 << self._quotient[1])]
-
-
-class LinearCharacter:
-    """A +-1 valued character of an enumerated 2-group quotient."""
-
-    def __init__(self, group, mask):
-        self.group = group
-        self.mask = mask
-
-    def value(self, p):
-        coord, _ = self.group._quotient
-        vec = coord[self.group._words[0][tuple(p)]]
-        return -1 if (self.mask & vec).bit_count() % 2 else 1
-
-    @cached_property
-    def on_generators(self):
-        """Values on the group's generator list; determines the character."""
-        return tuple(self.value(g) for g in self.group.generators)
-
-    def __repr__(self):
-        return f"LinearCharacter{self.on_generators}"
-
-
-def _tower_generators(exponent, offset):
-    """Level generators of the iterated wreath tower on 2**exponent points.
-
-    Level j swaps the two halves of every aligned block of size 2**j; together
-    with its conjugates this generates the full Sylow 2-subgroup of the
-    symmetric group on the block.
-    """
-    gens = []
-    size = 1 << exponent
-    for j in range(1, exponent + 1):
-        half = 1 << (j - 1)
-        images = list(range(size))
-        for i in range(half):
-            images[i], images[i + half] = images[i + half], images[i]
-        gens.append((offset, size, tuple(images)))
-    return gens
-
-
-def _embed(degree, offset, size, local):
-    images = list(range(degree))
-    for i in range(size):
-        images[offset + i] = offset + local[i]
-    return tuple(images)
+        sums = {(): [1]}
+        for e in reversed(self.blocks):
+            merged = {}
+            for t1, r1 in sums.items():
+                for t2, r2 in _tower_sums(e).items():
+                    _add(merged, _union(t1, t2), [a * b for b in r2 for a in r1])
+            sums = merged
+        return {Partition._trusted(t): row for t, row in sums.items()}
 
 
 def sylow2_subgroup(n, cap=DEFAULT_CAP):
     """An explicit Sylow 2-subgroup of the symmetric group on n points.
 
-    One iterated-wreath tower per 2-adic block of n, blocks laid out
-    consecutively in decreasing size; the order is the full 2-part of n!,
-    2**(n - popcount(n)). An order above cap raises EnumerationCapError here,
-    before any closure is enumerated.
+    Its order is the full 2-part of n!, 2**(n - popcount(n)). An order above
+    cap raises EnumerationCapError before anything is built.
     """
     if n < 1:
         raise DomainError("n must be positive")
     order = 1 << (n - n.bit_count())
     if order > cap:
         raise EnumerationCapError(f"Sylow 2-subgroup of degree {n} has order {order} > cap {cap}")
-    gens = []
-    offset = 0
-    for e in two_adic(n):
-        for off, size, local in _tower_generators(e, offset):
-            gens.append(_embed(n, off, size, local))
-        offset += 1 << e
-    return PermutationGroup(n, gens, cap=cap)
+    return Sylow2Subgroup(n)
 
 
 def restriction_multiplicities(lam, group):
-    """Multiplicity of every linear character in the restriction of lam.
+    """Multiplicity of every linear character of the group in the restriction of lam.
 
-    Every linear character phi_mask factors through the quotient
-    G / G^2 [G, G] = F2^dim, so the exact inner products
-    (1/|H|) sum_h chi(h) phi_mask(h) for all masks at once are one integer
-    Walsh-Hadamard transform of f[v] = sum_t chi(t) count[t][v], where
-    count is the group's cached class histogram (cycle type by quotient
-    coordinate) and chi(t) the Murnaghan-Nakayama value. Returns
-    (values-on-generators, multiplicity) pairs in mask order.
+    The exact inner products (1/|P|) sum_t chi(t) S_t[mask] for all masks at
+    once, where S_t is the group's class-sum row at cycle type t and chi(t)
+    the Murnaghan-Nakayama value. Returns (values-on-generators,
+    multiplicity) pairs in mask order.
     """
     if lam.n != group.degree:
         raise DomainError(f"partition of {lam.n} vs group of degree {group.degree}")
-    order = group.order
-    f = [0] * group.abelianization_order()
-    for t, row in group._class_histogram.items():
+    totals = [0] * (1 << sum(group.blocks))
+    for t, row in group.class_sums.items():
         chi = mn_value(lam, t)
         if chi:
-            for v, count in enumerate(row):
-                f[v] += chi * count
-    half = 1
-    while half < len(f):
-        for start in range(0, len(f), 2 * half):
-            for i in range(start, start + half):
-                a, b = f[i], f[i + half]
-                f[i], f[i + half] = a + b, a - b
-        half *= 2
+            for w, v in enumerate(row):
+                totals[w] += chi * v
     out = []
-    for phi, total in zip(group.linear_characters(), f):
-        if total % order:
-            raise DomainError(f"nonintegral inner product {total}/{order}")
-        out.append((phi.on_generators, total // order))
+    for mask, total in enumerate(totals):
+        if total % group.order:
+            raise DomainError(f"nonintegral inner product {total}/{group.order}")
+        out.append((group.on_generators(mask), total // group.order))
     return out

@@ -15,6 +15,7 @@ odd multiplicity in the restriction of the hook character.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
@@ -326,33 +327,14 @@ def wreath_odd_labels(k, t):
     """Clifford enumeration of the odd-degree labels of S_k wr S_t (odd index)."""
     if not wreath_index_is_odd(k, t):
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{k * t}")
-    odd_k = odd_partitions(k)
-    blocks = two_adic(t)
     labels = []
-
-    def assign(idx, fibers):
-        if idx == len(blocks):
-            groups = sorted(fibers.items(), key=lambda item: min(item[1]))
-            tops = [odd_partitions(sum(1 << e for e in exps)) for _, exps in groups]
-
-            def choose(gi, acc):
-                if gi == len(groups):
-                    base = tuple(
-                        (psi, sum(1 << e for e in exps)) for psi, exps in groups
-                    )
-                    labels.append(WreathOddLabel(k, t, base, tuple(acc)))
-                    return
-                for alpha in tops[gi]:
-                    choose(gi + 1, acc + [alpha])
-
-            choose(0, [])
-            return
-        for psi in odd_k:
-            fibers.setdefault(psi, []).append(blocks[idx])
-            assign(idx + 1, fibers)
-            fibers[psi].pop()
-            if not fibers[psi]:
-                del fibers[psi]
-
-    assign(0, {})
+    blocks = two_adic(t)
+    for choice in product(odd_partitions(k), repeat=len(blocks)):
+        fibers = {}
+        for psi, e in zip(choice, blocks):
+            fibers.setdefault(psi, []).append(e)
+        groups = sorted(fibers.items(), key=lambda item: min(item[1]))
+        base = tuple((psi, sum(1 << e for e in exps)) for psi, exps in groups)
+        tops = product(*(odd_partitions(size) for _, size in base))
+        labels.extend(WreathOddLabel(k, t, base, top) for top in tops)
     return labels

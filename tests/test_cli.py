@@ -3,6 +3,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from oddchar.partitions import (
     rim_hooks_of_length,
 )
 from oddchar.verify import run_suite
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def run_cli(*argv):
@@ -318,7 +321,7 @@ EXPORTS = {
     "odd_multinomial_order partitions rim_hooks_of_length two_adic unique_descent",
     "characters": "CycleType branch_restrict class_size degree is_odd_partition lr_coefficient "
     "mn_value odd_partitions",
-    "permgroups": "PermutationGroup restriction_multiplicities sylow2_subgroup",
+    "permgroups": "restriction_multiplicities sylow2_subgroup",
     "sym": "SylowLinearLabel ThetaLabel WreathOddLabel alpha_sn alpha_sn_inverse count_odd_irr_sn "
     "sharp_sn sharp_sn_inverse star_sn theorem_d_star wreath_odd_labels young_star",
     "glu": "GLabel ParabolicCorrespondent canonical_order count_odd_irr_gl enumerate_odd_labels "
@@ -411,6 +414,13 @@ def test_lemma42_reports_a_planted_wrong_gamma(monkeypatch):
     assert report["counterexamples"] == [
         {"input": [[1], {"m": 4, "leg": 2}, 5], "expected": [3, 2], "actual": [[2, 2, 1]]}
     ]
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs(demo):
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()
 
 
 def test_cli_byte_identical_runs():

@@ -18,6 +18,7 @@ from oddchar.omega import (
     sharp_glu,
     sharp_glu_inverse,
 )
+from oddchar.sym import wreath_odd_labels
 
 
 def test_local_to_omega_examples():
@@ -162,6 +163,7 @@ def test_enumerations_leave_no_reference_cycles():
     try:
         enumerate_odd_labels(3, 5, "+")
         enumerate_omega_labels(3, 5, "-")
+        wreath_odd_labels(4, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()

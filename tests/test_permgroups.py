@@ -1,18 +1,9 @@
-import math
-
 import pytest
 
-from oddchar.errors import DomainError, EnumerationCapError
-from oddchar.characters import degree, is_odd_partition, mn_value, odd_partitions
+from oddchar.errors import EnumerationCapError
+from oddchar.characters import degree, mn_value, odd_partitions
 from oddchar.partitions import Partition, partitions, two_adic
-from oddchar.permgroups import (
-    DEFAULT_CAP,
-    PermutationGroup,
-    compose,
-    cycle_type,
-    restriction_multiplicities,
-    sylow2_subgroup,
-)
+from oddchar.permgroups import DEFAULT_CAP, restriction_multiplicities, sylow2_subgroup
 
 
 def two_part_of_factorial(n):
@@ -24,69 +15,26 @@ def two_part_of_factorial(n):
     return 1 << nu
 
 
-def test_cycle_type():
-    assert cycle_type((1, 0, 2, 3)) == Partition((2, 1, 1))
-    assert cycle_type((1, 2, 3, 0)) == Partition((4,))
+def compose(p, q):
+    """Apply q first, then p."""
+    return tuple(p[q[i]] for i in range(len(p)))
 
 
-def test_group_validation_and_cap():
-    with pytest.raises(DomainError):
-        PermutationGroup(3, [(0, 0, 1)])
-    big = PermutationGroup(8, [tuple(range(1, 8)) + (0,), (1, 0) + tuple(range(2, 8))], cap=100)
-    with pytest.raises(EnumerationCapError):
-        big.elements
-
-
-def test_sylow_orders_are_two_parts():
-    for n in range(1, 13):
-        group = sylow2_subgroup(n)
-        assert group.order == two_part_of_factorial(n), n
-
-
-def test_sylow_examples():
-    assert sylow2_subgroup(2).order == 2
-    d8 = sylow2_subgroup(4)
-    assert d8.order == 8
-    # dihedral: 2 four-cycles, 5 involutions, identity
-    types = sorted(cycle_type(g).parts for g in d8.elements)
-    assert types.count((4,)) == 2
-    assert sylow2_subgroup(6).order == 16
-
-
-def test_linear_character_counts():
-    for n in range(1, 13):
-        group = sylow2_subgroup(n)
-        expected = 1 << sum(two_adic(n))
-        assert group.abelianization_order() == expected
-        assert len(group.linear_characters()) == expected
-
-
-def relation_groups():
-    """(group, number of +-1 characters) where the closure finds relations.
-
-    S_3 and D_8 with a redundant generator have relations of odd word
-    parity, so the relation span is not {0}; C_4 has an abelianization that
-    is not elementary abelian.
-    """
-    r, s = (1, 2, 3, 0), (3, 2, 1, 0)
-    return [
-        (PermutationGroup(3, [(1, 0, 2), (1, 2, 0)]), 2),
-        (PermutationGroup(4, [r]), 2),
-        (PermutationGroup(4, [r, s, compose(r, s)]), 4),
-    ]
-
-
-def test_linear_characters_are_homomorphisms():
-    groups = [sylow2_subgroup(n) for n in (4, 5, 6)] + [g for g, _ in relation_groups()]
-    for group in groups:
-        els = sorted(group.elements)
-        characters = group.linear_characters()
-        for phi in characters:
-            for a in els:
-                for b in els:
-                    assert phi.value(compose(a, b)) == phi.value(a) * phi.value(b)
-        labels = [phi.on_generators for phi in characters]
-        assert len(set(labels)) == len(labels)
+def cycle_type(p):
+    """Cycle type of a permutation as a partition of its degree."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        lengths.append(length)
+    return Partition(sorted(lengths, reverse=True))
 
 
 def inverse(p):
@@ -113,25 +61,108 @@ def subgroup_closure(seed):
     return closed
 
 
+def labels_of(group):
+    """The linear characters the oracle reports, as values on the generators, in mask order."""
+    return [vals for vals, _ in restriction_multiplicities(Partition((group.degree,)), group)]
+
+
+def enumerate_characters(group, labels=()):
+    """Every element of the group, mapped to its values under each label.
+
+    One breadth-first closure of group.generators from the identity. An
+    element's values are the products of the generator values along its
+    closure path; every Cayley edge y = g x must agree, so each label is a
+    homomorphism on the enumerated group.
+    """
+    identity = tuple(range(group.degree))
+    values = {identity: (1,) * len(labels)}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for i, g in enumerate(group.generators):
+            step = [label[i] for label in labels]
+            for x in frontier:
+                y = compose(g, x)
+                v = tuple(a * b for a, b in zip(step, values[x]))
+                if y not in values:
+                    values[y] = v
+                    new.append(y)
+                else:
+                    assert values[y] == v, (group.degree, x, i)
+        frontier = new
+    return values
+
+
+def test_sylow_orders_are_two_parts():
+    for n in range(1, 13):
+        group = sylow2_subgroup(n)
+        assert group.order == two_part_of_factorial(n), n
+        assert len(enumerate_characters(group)) == group.order, n
+
+
+def test_sylow_examples():
+    assert sylow2_subgroup(2).order == 2
+    d8 = sylow2_subgroup(4)
+    assert d8.order == 8
+    # dihedral: 2 four-cycles, 5 involutions, identity
+    types = sorted(cycle_type(g).parts for g in enumerate_characters(d8))
+    assert types.count((4,)) == 2
+    assert types.count((1, 1, 1, 1)) == 1
+    assert sylow2_subgroup(6).order == 16
+
+
+def test_linear_character_counts():
+    for n in range(1, 13):
+        labels = labels_of(sylow2_subgroup(n))
+        assert len(labels) == 1 << sum(two_adic(n)), n
+        assert len(set(labels)) == len(labels), n
+
+
+def test_mask_order_puts_the_smallest_block_low():
+    # blocks 4 + 2: the 4-block's two levels come first among the generators,
+    # but the 2-block's level owns mask bit 0
+    group = sylow2_subgroup(6)
+    assert group.generators == ((1, 0, 2, 3, 4, 5), (2, 3, 0, 1, 4, 5), (0, 1, 2, 3, 5, 4))
+    assert labels_of(group) == [
+        (1, 1, 1), (1, 1, -1), (-1, 1, 1), (-1, 1, -1),
+        (1, -1, 1), (1, -1, -1), (-1, -1, 1), (-1, -1, -1),
+    ]
+
+
+def test_linear_characters_are_homomorphisms():
+    for n in (4, 5, 6):
+        group = sylow2_subgroup(n)
+        values = enumerate_characters(group, labels_of(group))
+        for a, va in values.items():
+            for b, vb in values.items():
+                assert values[compose(a, b)] == tuple(x * y for x, y in zip(va, vb))
+
+
 def test_quotient_is_the_abelianization():
     for n in range(1, 9):
         group = sylow2_subgroup(n)
-        els = group.elements
+        labels = labels_of(group)
+        values = enumerate_characters(group, labels)
         derived = subgroup_closure(
-            compose(compose(inverse(a), inverse(b)), compose(a, b)) for a in els for b in els
+            compose(compose(inverse(a), inverse(b)), compose(a, b)) for a in values for b in values
         )
-        assert group.order // len(derived) == group.abelianization_order(), n
-        for phi in group.linear_characters():
-            assert all(phi.value(d) == 1 for d in derived), (n, phi)
+        assert group.order // len(derived) == len(labels), n
+        trivial = (1,) * len(labels)
+        assert all(values[d] == trivial for d in derived), n
 
 
-def test_sign_characters_where_edges_carry_relations():
-    for group, count in relation_groups():
-        squares = subgroup_closure(compose(a, a) for a in group.elements)
-        assert group.abelianization_order() == len(group.linear_characters()) == count
-        assert group.order // len(squares) == count
-        for phi in group.linear_characters():
-            assert all(phi.value(a) == 1 for a in squares)
+def test_class_sums_match_the_enumerated_group():
+    # column w sums phi_w over the elements of each cycle type, so column 0
+    # (the trivial character) counts them
+    for n in range(1, 13):
+        group = sylow2_subgroup(n)
+        labels = labels_of(group)
+        sums = {}
+        for x, vals in enumerate_characters(group, labels).items():
+            row = sums.setdefault(cycle_type(x), [0] * len(labels))
+            for w, v in enumerate(vals):
+                row[w] += v
+        assert group.class_sums == sums, n
 
 
 def test_restriction_s2_example():
@@ -164,14 +195,15 @@ def test_restriction_exact_sum_rule():
 
 
 def brute_force_multiplicities(lam, group):
-    """The direct sum (1/|G|) sum_h chi(h) phi(h), one linear character at a time."""
-    elements = sorted(group.elements)
-    chi = [mn_value(lam, cycle_type(h)) for h in elements]
+    """The direct sum (1/|G|) sum_h chi(h) phi(h) over the enumerated group, one phi at a time."""
+    labels = labels_of(group)
+    values = enumerate_characters(group, labels)
+    chi = {h: mn_value(lam, cycle_type(h)) for h in values}
     out = []
-    for phi in group.linear_characters():
-        total = sum(c * phi.value(h) for c, h in zip(chi, elements))
+    for k, label in enumerate(labels):
+        total = sum(chi[h] * vals[k] for h, vals in values.items())
         assert total % group.order == 0
-        out.append((phi.on_generators, total // group.order))
+        out.append((label, total // group.order))
     return out
 
 
@@ -184,7 +216,7 @@ def test_restriction_matches_brute_force_sum():
 
 
 def test_sylow_order_checked_against_cap_before_enumeration():
-    # the constructor raises: no group object, so no closure, ever exists
+    # the order is checked before any group object is built
     assert 1 << (20 - 2) > DEFAULT_CAP
     with pytest.raises(EnumerationCapError):
         sylow2_subgroup(20)
