@@ -10,7 +10,7 @@ import math
 from functools import cache
 
 from .errors import DomainError
-from .partitions import Partition, partitions, rim_hooks_of_length
+from .partitions import Partition, conjugate_parts, partitions, rim_hooks_of_length
 
 __all__ = [
     "CycleType",
@@ -29,7 +29,7 @@ CycleType = Partition
 
 @cache
 def _degree(parts):
-    conj = Partition._trusted(parts).conjugate().parts
+    conj = conjugate_parts(parts)
     hooks = (p - j + conj[j] - i - 1 for i, p in enumerate(parts) for j in range(p))
     return math.factorial(sum(parts)) // math.prod(hooks)
 
@@ -53,7 +53,7 @@ def odd_partitions(n):
 def _mn(lam_parts, mu_parts):
     if not mu_parts:
         return 1
-    lam = Partition._trusted(lam_parts)
+    lam = Partition._trusted(lam_parts, sum(lam_parts))
     c, rest = mu_parts[0], mu_parts[1:]
     total = 0
     for hook, _, remainder in rim_hooks_of_length(lam, c):
@@ -78,7 +78,7 @@ def branch_restrict(lam):
         if i + 1 == len(parts) or parts[i + 1] < parts[i]:
             row = list(parts)
             row[i] -= 1
-            out.append(Partition._trusted(tuple(x for x in row if x > 0)))
+            out.append(Partition._trusted(tuple(x for x in row if x > 0), lam.n - 1))
     return out
 
 

@@ -7,15 +7,14 @@ the symmetric-group side, so everything here is partition combinatorics plus
 modular arithmetic on residues.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import permutations as _permutations, product
-from typing import NamedTuple
 
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import (
     Partition,
-    _trusted_label,
+    Value,
     nu2,
     odd_multinomial_order,
     split_by_digit,
@@ -41,11 +40,15 @@ __all__ = [
 ]
 
 
-class KappaQ(NamedTuple):
-    modulus: int  # q - kappa*1, the order of the residue group
-    two: int  # 2-part of the modulus
-    odd: int  # odd part of the modulus
-    p: int  # the characteristic: q is a power of p
+KappaQ = namedtuple(
+    "KappaQ",
+    (
+        "modulus",  # q - kappa*1, the order of the residue group
+        "two",  # 2-part of the modulus
+        "odd",  # odd part of the modulus
+        "p",  # the characteristic: q is a power of p
+    ),
+)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound,
@@ -134,8 +137,7 @@ def is_prime_power_odd(q):
     return True
 
 
-@dataclass(frozen=True)
-class GLabel:
+class GLabel(Value):
     """Dipper-James style label: kappa, q and (residue, partition) pairs.
 
     kappa is '+' for the linear and '-' for the unitary family; residues live
@@ -143,11 +145,9 @@ class GLabel:
     sorted by (residue) for a canonical hashable form.
     """
 
-    kappa: str
-    q: int
-    pairs: tuple  # of (residue, Partition)
+    __slots__ = ("kappa", "q", "pairs")  # pairs: (residue, Partition) tuples
 
-    def __post_init__(self):
+    def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
         residues = [s for s, _ in self.pairs]
         if any(not 0 <= s < mod for s in residues):
@@ -188,15 +188,13 @@ def _residue(pair):
 
 def _trusted_glabel(kappa, q, pairs):
     """Internal: a GLabel from pairs known to be valid, sorted into canonical form unchecked."""
-    return _trusted_label(GLabel, kappa, q, tuple(sorted(pairs, key=_residue)))
+    return GLabel._trusted(kappa, q, tuple(sorted(pairs, key=_residue)))
 
 
-@dataclass(frozen=True)
-class ParabolicCorrespondent:
+class ParabolicCorrespondent(Value):
     """Output of the maximal-parabolic restriction: a line pair plus a rank n-1 label."""
 
-    line: tuple  # (residue, Partition((1,)))
-    rest: GLabel
+    __slots__ = ("line", "rest")  # line: (residue, Partition((1,))); rest: a GLabel
 
     def to_json(self):
         return {

@@ -8,12 +8,11 @@ a finite check.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from .errors import DomainError, TheoremViolationError
-from .partitions import HookPartition, _trusted_label, check_two_adic_layout, two_adic
+from .partitions import HookPartition, Value, check_two_adic_layout, two_adic
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
 from .glu import GLabel, _trusted_glabel, canonical_order, check_label_count, kappa_q
 
@@ -31,15 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OmegaLabel:
+class OmegaLabel(Value):
     """Per 2-adic block of n (decreasing size): a residue and a hook of that size."""
 
-    kappa: str
-    q: int
-    blocks: tuple  # of (size, residue, HookPartition)
+    __slots__ = ("kappa", "q", "blocks")  # blocks: (size, residue, HookPartition) tuples
 
-    def __post_init__(self):
+    def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
         check_two_adic_layout(tuple(size for size, _, _ in self.blocks))
         for size, s, hook in self.blocks:
@@ -78,8 +74,7 @@ class OmegaLabel:
         )
 
 
-@dataclass(frozen=True)
-class NormalizerLocalLabel:
+class NormalizerLocalLabel(Value):
     """Raw normalizer data for one 2-power block of size 2**m.
 
     gamma indexes a character of the 2-part of the ambient cyclic group,
@@ -88,15 +83,12 @@ class NormalizerLocalLabel:
     leg = 2k + j. For m = 0 only the residue data remains.
     """
 
-    kappa: str
-    q: int
-    m: int
-    gamma: int
-    delta: int
-    j: int | None = None
-    k: int | None = None
+    __slots__ = ("kappa", "q", "m", "gamma", "delta", "j", "k")
 
-    def __post_init__(self):
+    def __init__(self, kappa, q, m, gamma, delta, j=None, k=None):
+        super().__init__(kappa, q, m, gamma, delta, j, k)
+
+    def _validate(self):
         _, two, odd, _ = kappa_q(self.kappa, self.q)
         if self.m < 0:
             raise DomainError("m must be nonnegative")
@@ -171,7 +163,7 @@ def sharp_glu(label):
             entries[e] = (hook.m, s, hook)
     # the pairs own disjoint digits, so these are the 2-adic blocks of label.n
     blocks = tuple(entries[e] for e in sorted(entries, reverse=True))
-    return _trusted_label(OmegaLabel, label.kappa, label.q, blocks)
+    return OmegaLabel._trusted(label.kappa, label.q, blocks)
 
 
 def sharp_glu_inverse(omega):
@@ -198,8 +190,8 @@ def _act_on_residue(fn, x):
     if isinstance(x, GLabel):
         return _trusted_glabel(x.kappa, x.q, [(fn(s), lam) for s, lam in x.pairs])
     if isinstance(x, OmegaLabel):
-        return _trusted_label(
-            OmegaLabel, x.kappa, x.q, tuple((size, fn(s), hook) for size, s, hook in x.blocks)
+        return OmegaLabel._trusted(
+            x.kappa, x.q, tuple((size, fn(s), hook) for size, s, hook in x.blocks)
         )
     raise DomainError(f"cannot act on {type(x).__name__}")
 
@@ -238,7 +230,7 @@ def enumerate_omega_labels(n, q, kappa):
         [(size, s, HookPartition(size, leg)) for s in range(mod) for leg in range(size)]
         for size in (1 << e for e in two_adic(n))
     ]
-    return [_trusted_label(OmegaLabel, kappa, q, combo) for combo in product(*blocks)]
+    return [OmegaLabel._trusted(kappa, q, combo) for combo in product(*blocks)]
 
 
 def count_real_odd(n, q, kappa):

@@ -7,14 +7,13 @@ Partitions are validated where they enter: the public Partition(...)
 constructor, Partition.from_json and the CLI parser (which calls the
 constructor). Internal builders whose output is a partition by construction
 (partitions(), conjugate(), rim-hook remainders, branch_restrict and the
-character caches) wrap their tuples with the private, unchecked
-Partition._trusted; it is internal-only and never sees user data. Labels
-follow the same rule through _trusted_label.
+character caches) build it with the private, unchecked Value._trusted, as
+Partition._trusted(parts, n); it is internal-only and never sees user data.
+Labels follow the same rule through the same classmethod.
 """
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
@@ -36,8 +35,77 @@ __all__ = [
 ]
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers; () is the partition of 0."""
+class Value:
+    """Base of the immutable values: partitions, hooks and labels.
+
+    A subclass names its fields in __slots__, in positional order, and checks
+    them in _validate. An instance equals only instances of its own class,
+    hashes its field tuple, prints as Name(field=value, ...) and pickles and
+    copies through _trusted.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        if "__eq__" in cls.__dict__:
+            return  # Partition compares and hashes its parts alone
+        # Equality and hash are compiled per class, as the dataclass methods
+        # they replace were: through a generic getattr they took about twice
+        # as long and slowed the label sweeps.
+        mine = "".join(f"self.{name}, " for name in fields)
+        theirs = mine.replace("self.", "other.")
+        scope = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is not self.__class__: return NotImplemented\n"
+            f"    return ({mine}) == ({theirs})\n"
+            f"def __hash__(self): return hash(({mine}))\n",
+            scope,
+        )
+        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} values")
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Internal: an instance from field values known to be valid, unchecked.
+
+        Only builders whose output is valid by construction call it; public
+        constructors, from_json and the CLI parser keep every check.
+        """
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
+
+    def _validate(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self._trusted, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Partition(Value):
+    """A weakly decreasing tuple of positive integers; () is the partition of 0.
+
+    Its fields are parts and their sum n; equality and hash read parts alone.
+    """
 
     __slots__ = ("parts", "n")
 
@@ -50,17 +118,6 @@ class Partition:
                 raise DomainError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
-
-    @classmethod
-    def _trusted(cls, parts):
-        """Internal: wrap a tuple already known to be a partition, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", sum(parts))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __iter__(self):
         return iter(self.parts)
@@ -85,16 +142,7 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self):
-        parts = self.parts
-        if not parts:
-            return self
-        cols = []
-        rows = len(parts)  # column j has one cell per part of size >= j
-        for j in range(1, parts[0] + 1):
-            while parts[rows - 1] < j:
-                rows -= 1
-            cols.append(rows)
-        return Partition._trusted(tuple(cols))
+        return Partition._trusted(conjugate_parts(self.parts), self.n)
 
     def contains(self, other):
         """Containment of Young diagrams."""
@@ -117,28 +165,23 @@ class Partition:
         return cls(data)
 
 
-def _trusted_label(cls, *values):
-    """Internal: a frozen label dataclass from field values known to be valid.
-
-    The label counterpart of Partition._trusted: the fields are set in
-    declaration order and __post_init__ does not run. Only builders whose
-    output is valid by construction call it; public constructors, from_json
-    and the CLI parser keep every check.
-    """
-    self = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(self, name, value)
-    return self
+def conjugate_parts(parts):
+    """The column lengths of the diagram whose row lengths are the partition tuple parts."""
+    cols = []
+    rows = len(parts)  # column j has one cell per part of size >= j
+    for j in range(1, parts[0] + 1 if parts else 1):
+        while parts[rows - 1] < j:
+            rows -= 1
+        cols.append(rows)
+    return tuple(cols)
 
 
-@dataclass(frozen=True)
-class HookPartition:
+class HookPartition(Value):
     """The hook (m - leg, 1^leg), encoded by total size and leg length."""
 
-    m: int
-    leg: int
+    __slots__ = ("m", "leg")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.m < 1 or not (0 <= self.leg <= self.m - 1):
             raise DomainError(f"need 0 <= leg <= m-1, got m={self.m}, leg={self.leg}")
 
@@ -148,7 +191,7 @@ class HookPartition:
         return self.m - self.leg
 
     def to_partition(self):
-        return Partition._trusted((self.m - self.leg,) + (1,) * self.leg)
+        return Partition._trusted((self.m - self.leg,) + (1,) * self.leg, self.m)
 
     @classmethod
     def from_partition(cls, p):
@@ -164,19 +207,14 @@ class HookPartition:
         return cls(int(data["m"]), int(data["leg"]))
 
 
-@dataclass(frozen=True)
-class RimHook:
+class RimHook(Value):
     """A removable border strip: contiguous rim cells with no 2x2 block.
 
     The strip is fixed by the parts of the diagram it is removed from and its
     corner cell (row, col), 1-indexed; its cells are listed only when read.
     """
 
-    length: int
-    rows_spanned: int
-    cols_spanned: int
-    parts: tuple
-    corner: tuple
+    __slots__ = ("length", "rows_spanned", "cols_spanned", "parts", "corner")
 
     @property
     def cells(self):
@@ -185,7 +223,7 @@ class RimHook:
 
     def hook_type(self):
         """Hook partition of the same shape class: arm count = columns spanned."""
-        return HookPartition(self.length, self.rows_spanned - 1)
+        return HookPartition._trusted(self.length, self.rows_spanned - 1)
 
 
 def two_adic(n):
@@ -289,20 +327,22 @@ def rim_hooks_of_length(lam, m):
     if m < 1:
         raise DomainError("m must be positive")
     out = []
-    conj = lam.conjugate()
-    for i in range(1, len(lam.parts) + 1):
-        for j in range(1, lam.parts[i - 1] + 1):
-            arm = lam.parts[i - 1] - j
-            leg = conj.parts[j - 1] - i
+    parts = lam.parts
+    conj = conjugate_parts(parts)
+    for i in range(1, len(parts) + 1):
+        for j in range(1, parts[i - 1] + 1):
+            arm = parts[i - 1] - j
+            leg = conj[j - 1] - i
             if arm + leg + 1 != m:
                 continue
             l = i + leg
-            hook = RimHook(m, leg + 1, arm + 1, lam.parts, (i, j))
-            rest = list(lam.parts)
+            hook = RimHook._trusted(m, leg + 1, arm + 1, parts, (i, j))
+            rest = list(parts)
             for t in range(i, l):
-                rest[t - 1] = lam.parts[t] - 1
+                rest[t - 1] = parts[t] - 1
             rest[l - 1] = j - 1
-            remainder = Partition._trusted(tuple(p for p in rest if p > 0))
+            rest = tuple(p for p in rest if p > 0)
+            remainder = Partition._trusted(rest, sum(rest))
             assert remainder.n == lam.n - m
             out.append((hook, hook.hook_type(), remainder))
     return out
@@ -373,4 +413,5 @@ def partitions(n):
     """All partitions of n in reverse lexicographic order."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return [Partition._trusted(t) for t in _partition_tuples(n)]
+    make = Partition._trusted  # bound once: the list holds every partition of n
+    return [make(t, n) for t in _partition_tuples(n)]

@@ -112,7 +112,7 @@ class Sylow2Subgroup:
                 for t2, r2 in _tower_sums(e).items():
                     _add(merged, _union(t1, t2), [a * b for b in r2 for a in r1])
             sums = merged
-        return {Partition._trusted(t): row for t, row in sums.items()}
+        return {Partition._trusted(t, self.degree): row for t, row in sums.items()}
 
 
 def sylow2_subgroup(n, cap=DEFAULT_CAP):

@@ -14,14 +14,13 @@ odd multiplicity in the restriction of the hook character.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
     Partition,
-    _trusted_label,
+    Value,
     attach_unique_gamma,
     check_two_adic_layout,
     nu2,
@@ -51,13 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThetaLabel:
+class ThetaLabel(Value):
     """One hook per 2-adic block of n, blocks in decreasing size."""
 
-    hooks: tuple
+    __slots__ = ("hooks",)
 
-    def __post_init__(self):
+    def _validate(self):
         check_two_adic_layout(tuple(h.m for h in self.hooks))
 
     @property
@@ -72,13 +70,12 @@ class ThetaLabel:
         return cls(tuple(HookPartition.from_json(h) for h in data))
 
 
-@dataclass(frozen=True)
-class SylowLinearLabel:
+class SylowLinearLabel(Value):
     """Per 2-adic block of n, one bit per wreath-tower level (bit 0 = pairs)."""
 
-    blocks: tuple  # of (block size, bits tuple)
+    __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
 
-    def __post_init__(self):
+    def _validate(self):
         check_two_adic_layout(tuple(size for size, _ in self.blocks))
         for size, bits in self.blocks:
             if len(bits) != size.bit_length() - 1 or any(b not in (0, 1) for b in bits):
@@ -121,8 +118,7 @@ class SylowLinearLabel:
         return cls(tuple((int(b["size"]), tuple(int(x) for x in b["bits"])) for b in data))
 
 
-@dataclass(frozen=True)
-class WreathOddLabel:
+class WreathOddLabel(Value):
     """Odd-degree label of a wreath product S_k wr S_t of odd index.
 
     base lists the distinct odd partitions of k with their multiplicities t_i,
@@ -130,12 +126,9 @@ class WreathOddLabel:
     t_i.
     """
 
-    k: int
-    t: int
-    base: tuple  # of (Partition of k, t_i)
-    top: tuple  # of Partition of t_i
+    __slots__ = ("k", "t", "base", "top")  # base: (Partition of k, t_i); top: Partition of t_i
 
-    def __post_init__(self):
+    def _validate(self):
         if sum(t for _, t in self.base) != self.t:
             raise DomainError("multiplicities must sum to t")
         vals = [nu2(t) for _, t in self.base]
@@ -190,12 +183,12 @@ def alpha_sn(lam):
         hooks.append(hook_type)
     if cur.n != 0:
         raise TheoremViolationError(f"nonempty remainder {cur} after stripping {lam}")
-    return _trusted_label(ThetaLabel, tuple(hooks))
+    return ThetaLabel._trusted(tuple(hooks))
 
 
 def alpha_sn_inverse(theta):
     """Reattach hooks from the smallest block upward; inverse of alpha_sn."""
-    cur = Partition._trusted(())
+    cur = Partition._trusted((), 0)
     for hook in reversed(theta.hooks):
         cur = attach_unique_gamma(cur, hook, cur.n + hook.m)
     if not is_odd_partition(cur):
@@ -230,9 +223,8 @@ def bits_to_hook(bits):
 def sharp_sn(lam):
     """Linear-character label of the Sylow 2-subgroup attached to an odd partition."""
     theta = alpha_sn(lam)
-    return _trusted_label(
-        SylowLinearLabel,
-        tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in theta.hooks),
+    return SylowLinearLabel._trusted(
+        tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in theta.hooks)
     )
 
 

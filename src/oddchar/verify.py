@@ -8,7 +8,6 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 
 import math
 import os
-from dataclasses import dataclass, field
 
 from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length
 from .characters import (
@@ -35,14 +34,12 @@ from .omega import enumerate_omega_labels, galois_act, outer_act, sharp_glu, cou
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    params: dict
-    checks: int = 0
-    passed: int = 0
-    failed: int = 0
-    counterexamples: list = field(default_factory=list)
+    def __init__(self, suite, params):
+        self.suite = suite
+        self.params = params
+        self.checks = self.passed = self.failed = 0
+        self.counterexamples = []
 
     def add(self, checks, counterexamples):
         self.checks += checks

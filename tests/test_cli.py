@@ -1,11 +1,14 @@
 import concurrent.futures
+import contextlib
 import importlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oddchar.cli import main, parse_pairs, parse_partition
 import oddchar
@@ -276,14 +279,110 @@ def test_verify_jobs_clamped(monkeypatch):
     assert sizes == [3, 4, 3]
 
 
+# The argv fuzz starts from each command's required arguments, drops at most
+# one of them and appends junk, drawing values from the real vocabulary.
+# --n, --max-n, --k and --t take small integers and no junk token is an
+# integer above 4, so every example stays cheap.
+_REQUIRED = {
+    "star": ["PART"],
+    "alpha": ["PART"],
+    "sharp": ["PART"],
+    "young-star": ["PART", "--blocks"],
+    "wreath-star": ["PART", "--k", "--t"],
+    "parabolic-star": ["--q", "--pairs"],
+    "sharp-glu": ["--q", "--pairs"],
+    "levi-star": ["--q", "--pairs", "--blocks"],
+    "count": ["TARGET", "--n", "--q"],
+    "verify": ["SUITE", "--max-n"],
+    "x": [],
+}
+_JUNK = ["", "x", "-", "+", "+,-", "1,2", "3,,1", "-1", "0", "1", "4", "s1", "--", "-h"]
+_JUNK_TOKEN = st.sampled_from(_JUNK)
+_VALUES = {
+    "PART": st.sampled_from(["3,1", "2,2,1", "4", "5", "3,2", "2,1,1", "6,1", "1", "1,2", "x"]),
+    "TARGET": st.sampled_from(["sn", "gl", "real", "x"]),
+    "SUITE": st.sampled_from(sorted(verify.SUITES) + ["no-suite"]),
+    "--n": st.integers(-1, 8).map(str),
+    "--max-n": st.integers(-1, 3).map(str),
+    "--k": st.integers(-1, 8).map(str),
+    "--t": st.integers(-1, 8).map(str),
+    "--jobs": st.integers(-1, 4).map(str),
+    "--q": st.sampled_from(["3", "5", "7", "9", "1", "4", "15", "3,5", "1000003", "x", ""]),
+    "--kappa": st.sampled_from(["+", "-", "+,-", "x", ""]),
+    "--pairs": st.sampled_from(
+        ["s=1:l=2,2,1", "s=0:l=1;s=1:l=3,1", "s=1:l=3", "s=2:l=2;s=2:l=1", "s=9:l=1",
+         "s=a:l=1", "s1", ";"]
+    ),
+    "--blocks": st.sampled_from(["1,4", "2,5", "3,4", "3,1", "4", "1,1", "0", "x", ""]),
+}
+
+
+def _argument(name):
+    values = _VALUES[name] | _JUNK_TOKEN
+    if name.startswith("--"):
+        return values.map(lambda value: [name, value])
+    return values.map(lambda value: [value])
+
+
+_EXTRA = st.one_of(
+    st.sampled_from([name for name in _VALUES if name.startswith("--")]).flatmap(_argument),
+    _JUNK_TOKEN.map(lambda token: [token]),
+)
+
+
+def _command_argv(command):
+    required = _REQUIRED[command]
+    return st.builds(
+        lambda args, drop, extra: [
+            command, *sum(args[:drop] + args[drop + 1:], []), *sum(extra, [])
+        ],
+        st.tuples(*map(_argument, required)).map(list),
+        st.integers(0, 2 * len(required)),  # past the end: drop nothing
+        st.lists(_EXTRA, max_size=2),
+    )
+
+
+_ARGV = st.sampled_from(sorted(_REQUIRED)).flatmap(_command_argv)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a CLI call started a process pool")
+
+
+def test_argv_fuzz_keeps_the_exit_code_contract(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
+
+    @settings(max_examples=200, deadline=3000, database=None)
+    @given(argv=_ARGV)
+    @example(argv=["young-star", "3", "--blocks", "x"])
+    @example(argv=["levi-star", "--q", "3", "--pairs", "s=1:l=3", "--blocks", "x"])
+    @example(argv=["verify", "gl-counts", "--max-n", "2", "--q", "x"])
+    @example(argv=["sharp-glu", "--q", "3", "--pairs", "s=a:l=1"])
+    @example(argv=["verify", "sharp-oracle"])  # the known counterexamples: exit 1
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+        code = info.value.code
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        assert code != 1 or argv[0] == "verify", argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()
+
+
 def test_cli_import_leaves_process_pool_out():
     code = "import sys, oddchar.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
 
 
-# Prints the oddchar modules a fresh interpreter holds after one cli.main(argv),
-# or after a bare `import oddchar` when argv is empty.
+# Prints the oddchar modules, and the heavy standard modules of HEAVY, that a
+# fresh interpreter holds after one cli.main(argv), or after a bare
+# `import oddchar` when argv is empty.
 FOOTPRINT = """
 import contextlib, io, sys
 import oddchar
@@ -294,13 +393,16 @@ if sys.argv[1:]:
             cli.main(sys.argv[1:])
         except SystemExit:
             pass
-print(" ".join(sorted(m for m in sys.modules if m.startswith("oddchar"))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("oddchar") or m in HEAVY)))
 """
+# dataclasses would bring in inspect, ast, dis and tokenize: about 6 ms per launch.
+HEAVY = {"dataclasses", "inspect"}
 
 
 def _loaded_after(*argv):
+    script = f"HEAVY = {HEAVY!r}" + FOOTPRINT
     out = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True
     )
     return set(out.stdout.split())
 
@@ -311,7 +413,11 @@ def test_cli_loads_only_the_modules_a_command_runs():
     star = {"oddchar.characters", "oddchar.sym", "oddchar.cli"}
     assert _loaded_after("star", "3,1") == core | star
     loaded = _loaded_after("count", "gl", "--n", "5", "--q", "5")
-    assert not loaded & {"oddchar.omega", "oddchar.verify", "oddchar.permgroups"}
+    assert not loaded & {"oddchar.omega", "oddchar.verify", "oddchar.permgroups", *HEAVY}
+    loaded = _loaded_after("sharp-glu", "--q", "3", "--pairs", "s=1:l=2,2,1")
+    assert "oddchar.omega" in loaded and not loaded & HEAVY
+    loaded = _loaded_after("verify", "s7-counterexample")  # verify imports every module
+    assert "oddchar.verify" in loaded and not loaded & HEAVY
 
 
 # Every name the package exported when it imported all its modules eagerly, by home module.

@@ -1,0 +1,131 @@
+"""Value semantics shared by partitions, hooks and labels (partitions.Value)."""
+
+import copy
+import pickle
+
+import pytest
+
+from oddchar.glu import GLabel, parabolic_star
+from oddchar.omega import NormalizerLocalLabel, sharp_glu
+from oddchar.partitions import HookPartition, Partition, Value, rim_hooks_of_length
+from oddchar.sym import WreathOddLabel, alpha_sn, sharp_sn
+
+
+def _glabel():
+    return GLabel("+", 3, ((1, Partition((3, 1))), (0, Partition((1,)))))
+
+
+# One instance of every value class, built through the public API, with the
+# repr the frozen dataclasses printed before the value base replaced them.
+CASES = [
+    (lambda: Partition((2, 1)), "Partition(2, 1)"),
+    (lambda: HookPartition(3, 1), "HookPartition(m=3, leg=1)"),
+    (
+        lambda: rim_hooks_of_length(Partition((3, 1)), 2)[0][0],
+        "RimHook(length=2, rows_spanned=1, cols_spanned=2, parts=(3, 1), corner=(1, 2))",
+    ),
+    (lambda: alpha_sn(Partition((3, 1))), "ThetaLabel(hooks=(HookPartition(m=4, leg=1),))"),
+    (lambda: sharp_sn(Partition((3, 1))), "SylowLinearLabel(blocks=((4, (0, 1)),))"),
+    (
+        lambda: WreathOddLabel(3, 1, ((Partition((3,)), 1),), (Partition((1,)),)),
+        "WreathOddLabel(k=3, t=1, base=((Partition(3,), 1),), top=(Partition(1,),))",
+    ),
+    (_glabel, "GLabel(kappa='+', q=3, pairs=((0, Partition(1,)), (1, Partition(3, 1))))"),
+    (
+        lambda: parabolic_star(_glabel()),
+        "ParabolicCorrespondent(line=(0, Partition(1,)), "
+        "rest=GLabel(kappa='+', q=3, pairs=((1, Partition(3, 1)),)))",
+    ),
+    (
+        lambda: sharp_glu(_glabel()),
+        "OmegaLabel(kappa='+', q=3, blocks=((4, 1, HookPartition(m=4, leg=1)), "
+        "(1, 0, HookPartition(m=1, leg=0))))",
+    ),
+    (
+        lambda: NormalizerLocalLabel("+", 3, 1, 0, 0, j=1, k=0),
+        "NormalizerLocalLabel(kappa='+', q=3, m=1, gamma=0, delta=0, j=1, k=0)",
+    ),
+    (
+        lambda: NormalizerLocalLabel("+", 3, 0, 1, 0),
+        "NormalizerLocalLabel(kappa='+', q=3, m=0, gamma=1, delta=0, j=None, k=None)",
+    ),
+]
+IDS = [text.split("(", 1)[0] for _, text in CASES]
+cases = pytest.mark.parametrize("make, text", CASES, ids=IDS)
+
+
+def test_every_value_class_is_covered():
+    covered = {type(make()) for make, _ in CASES}
+    assert covered == {cls for cls in _subclasses(Value) if cls.__module__.startswith("oddchar.")}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@cases
+def test_repr_matches_dataclass_format(make, text):
+    assert repr(make()) == text
+
+
+@cases
+def test_fields_cannot_be_set_or_deleted(make, text):
+    value = make()
+    name = value.__slots__[0]
+    before = getattr(value, name)
+    for attempt in (
+        lambda: setattr(value, name, before),
+        lambda: setattr(value, "extra", 1),
+        lambda: delattr(value, name),
+    ):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert getattr(value, name) is before
+
+
+@cases
+def test_equal_fields_compare_and_hash_equal(make, text):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@cases
+def test_another_class_with_the_same_fields_is_unequal(make, text):
+    value = make()
+    twin_class = type("Twin", (Value,), {"__slots__": type(value).__slots__})
+    twin = twin_class._trusted(*(getattr(value, name) for name in value.__slots__))
+    assert twin.__slots__ == value.__slots__
+    assert value != twin and twin != value
+    assert not value == twin and not twin == value
+
+
+@cases
+def test_pickle_and_copy_round_trip(make, text):
+    value = make()
+    for clone in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == text
+
+
+def test_round_trip_keeps_derived_fields():
+    lam = pickle.loads(pickle.dumps(Partition((4, 2, 1))))
+    assert lam.n == 7 and lam.conjugate() == Partition((3, 2, 1, 1))
+    hook = copy.deepcopy(rim_hooks_of_length(Partition((3, 1)), 2)[0][0])
+    assert hook.cells == ((1, 2), (1, 3))
+
+
+def test_constructor_checks_the_number_of_fields():
+    with pytest.raises(TypeError):
+        HookPartition(3)
+    with pytest.raises(TypeError):
+        HookPartition(3, 1, 0)
