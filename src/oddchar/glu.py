@@ -204,10 +204,19 @@ class ParabolicCorrespondent(Value):
 
 
 def is_odd_label(label):
-    """True iff every partition is odd and the sizes admit the strict 2-part chain."""
-    if any(not is_odd_partition(lam) for _, lam in label.pairs):
+    """True iff every partition is odd and the sizes admit the strict 2-part chain.
+
+    The test reads only the partitions, never the residues, so it is decided
+    once per shape (the label's partitions in pair order) and looked up after.
+    """
+    return _is_odd_shape(tuple([lam for _, lam in label.pairs]))
+
+
+@cache
+def _is_odd_shape(shape):
+    if any(not is_odd_partition(lam) for lam in shape):
         return False
-    return odd_multinomial_order([lam.n for _, lam in label.pairs]) is not None
+    return odd_multinomial_order([lam.n for lam in shape]) is not None
 
 
 def canonical_order(label):
@@ -301,8 +310,7 @@ def enumerate_odd_labels(n, q, kappa):
 def count_odd_irr_gl(n, q, kappa):
     """Census of odd labels by enumeration; every label is re-checked for oddness."""
     labels = enumerate_odd_labels(n, q, kappa)
-    distinct = set(labels)
-    if len(distinct) != len(labels):
+    if len(set(labels)) != len(labels):  # the set is freed before the oddness pass
         raise TheoremViolationError("label enumeration produced duplicates")
     for label in labels:
         if not is_odd_label(label):
@@ -336,10 +344,7 @@ def sl_label_census(n, q):
             continue
         orbits += 1
         for c in range(mod):
-            shifted = GLabel(
-                "+", q, tuple(((s + c) % mod, lam) for s, lam in label.pairs)
-            )
-            seen.add(shifted)
+            seen.add(_trusted_glabel("+", q, [((s + c) % mod, lam) for s, lam in label.pairs]))
     return orbits
 
 

@@ -14,7 +14,7 @@ from itertools import product
 from .errors import DomainError, TheoremViolationError
 from .partitions import HookPartition, Value, check_two_adic_layout, two_adic
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
-from .glu import GLabel, _trusted_glabel, canonical_order, check_label_count, kappa_q
+from .glu import GLabel, _trusted_glabel, check_label_count, kappa_q
 
 __all__ = [
     "OmegaLabel",
@@ -148,19 +148,28 @@ def _partition_hooks(lam):
 
 
 def sharp_glu(label):
-    """Normalizer-side coordinates of an odd label.
+    """Normalizer-side coordinates of an odd label; DomainError on any other label.
 
     Each pair contributes one hook per 2-adic block of its partition size via
     the symmetric-group hook coordinates, and stamps its residue on those
-    blocks; block ownership is forced by the 2-adic digit condition.
+    blocks. The loop is itself the oddness test of is_odd_label: stripping
+    refuses an even partition, and an odd partition of k has hooks exactly at
+    the binary digits of k, so two pairs claim one block exactly when their
+    sizes carry (Kummer), which is when the multinomial is even.
     """
     entries = {}
-    for s, lam in canonical_order(label):
-        for hook in _partition_hooks(lam):
+    for s, lam in label.pairs:
+        try:
+            hooks = _partition_hooks(lam)
+        except DomainError as exc:  # an even partition
+            raise DomainError(f"{label} is not an odd label") from exc
+        for hook in hooks:
             e = hook.m.bit_length() - 1
-            if e in entries:
-                raise TheoremViolationError("two pairs claim the same 2-adic block")
+            if e in entries:  # the sizes carry
+                raise DomainError(f"{label} is not an odd label")
             entries[e] = (hook.m, s, hook)
+    if not entries:
+        raise DomainError(f"{label} has no pairs")
     # the pairs own disjoint digits, so these are the 2-adic blocks of label.n
     blocks = tuple(entries[e] for e in sorted(entries, reverse=True))
     return OmegaLabel._trusted(label.kappa, label.q, blocks)

@@ -9,6 +9,7 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 import math
 import os
 
+from .errors import DEFAULT_CAP, EnumerationCapError
 from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length
 from .characters import (
     branch_restrict,
@@ -28,8 +29,22 @@ from .sym import (
     wreath_index_is_odd,
     wreath_odd_labels,
 )
-from .glu import count_odd_irr_gl, enumerate_odd_labels, kappa_q, odd_label_count, real_label_count
-from .omega import enumerate_omega_labels, galois_act, outer_act, sharp_glu, count_real_odd
+from .glu import (
+    check_label_count,
+    count_odd_irr_gl,
+    enumerate_odd_labels,
+    kappa_q,
+    odd_label_count,
+    real_label_count,
+)
+from .omega import (
+    count_real_odd,
+    enumerate_omega_labels,
+    galois_act,
+    outer_act,
+    sharp_glu,
+    sharp_glu_inverse,
+)
 
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
 
@@ -72,9 +87,15 @@ def _sweep(report, items, check, jobs):
     return report
 
 
-def _label_sweep(suite, check, max_n, qs, kappas, jobs):
-    """A sweep over the (n, q, kappa) grid with n = 1..max_n."""
+def _label_sweep(suite, check, max_n, qs, kappas, jobs, bound=check_label_count):
+    """A sweep over the (n, q, kappa) grid with n = 1..max_n.
+
+    bound(n, q, kappa) raises EnumerationCapError on an item whose work passes
+    the cap; every item is bounded before any of them runs.
+    """
     items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
+    for item in items:
+        bound(*item)
     report = VerifyReport(suite, {"max_n": max_n, "q": list(qs), "kappa": list(kappas)})
     return _sweep(report, items, check, jobs)
 
@@ -275,20 +296,19 @@ def _check_omega_bij(item):
     n, q, kappa = item
     ces = []
     labels = enumerate_odd_labels(n, q, kappa)
-    images = [sharp_glu(label) for label in labels]
+    table = {label: sharp_glu(label) for label in labels}
+    images = set(table.values())
     space = enumerate_omega_labels(n, q, kappa)
-    if len(set(images)) != len(labels) or set(images) != set(space):
+    if len(images) != len(labels) or images != set(space):
         ces.append(
             {
                 "input": [n, q, kappa],
                 "expected": ["bijective", len(space)],
-                "actual": [len(set(images)), len(labels)],
+                "actual": [len(images), len(labels)],
             }
         )
-    from .omega import sharp_glu_inverse
-
     for omega in space:
-        if sharp_glu(sharp_glu_inverse(omega)) != omega:
+        if table.get(sharp_glu_inverse(omega)) != omega:
             ces.append({"input": omega.to_json(), "expected": "round trip", "actual": "failed"})
     return len(labels) + len(space), ces
 
@@ -297,29 +317,49 @@ def suite_omega_bij(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
     return _label_sweep("omega-bij", _check_omega_bij, max_n, qs, kappas, jobs)
 
 
+def _actions(q, kappa):
+    """The units of Z/modulus and the outer words that the equivariance sweep applies."""
+    mod = kappa_q(kappa, q).modulus
+    sigmas = [i for i in range(1, mod) if math.gcd(i, mod) == 1]
+    return sigmas, ["F"] + (["tau"] if kappa == "+" else [])
+
+
+def _bound_equivariance(n, q, kappa):
+    """Raise when the labels of an item times its actions pass the cap."""
+    check_label_count(n, q, kappa)  # there are at least modulus labels: bounds the units listed
+    sigmas, words = _actions(q, kappa)
+    labels = odd_label_count(n, q, kappa)
+    work = labels * (len(sigmas) + len(words))
+    if work > DEFAULT_CAP:
+        raise EnumerationCapError(
+            f"{labels} labels of rank {n} x {len(sigmas) + len(words)} actions"
+            f" = {work} checks > cap {DEFAULT_CAP}"
+        )
+
+
 def _check_equivariance(item):
     n, q, kappa = item
     ces = []
     checks = 0
-    mod = kappa_q(kappa, q).modulus
-    labels = enumerate_odd_labels(n, q, kappa)
-    sigmas = [i for i in range(1, mod) if math.gcd(i, mod) == 1]
-    for label in labels:
-        image = sharp_glu(label)
+    sigmas, words = _actions(q, kappa)
+    # the actions permute the enumerated labels; a miss is a counterexample
+    table = {label: sharp_glu(label) for label in enumerate_odd_labels(n, q, kappa)}
+    for label, image in table.items():
         for i in sigmas:
             checks += 1
-            if galois_act(i, image) != sharp_glu(galois_act(i, label)):
+            if galois_act(i, image) != table.get(galois_act(i, label)):
                 ces.append({"input": [label.to_json(), i], "expected": "commute", "actual": "galois"})
-        words = ["F"] + (["tau"] if kappa == "+" else [])
         for word in words:
             checks += 1
-            if outer_act(word, image) != sharp_glu(outer_act(word, label)):
+            if outer_act(word, image) != table.get(outer_act(word, label)):
                 ces.append({"input": [label.to_json(), word], "expected": "commute", "actual": "outer"})
     return checks, ces
 
 
 def suite_galois_equivariance(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
-    return _label_sweep("galois-equivariance", _check_equivariance, max_n, qs, kappas, jobs)
+    return _label_sweep(
+        "galois-equivariance", _check_equivariance, max_n, qs, kappas, jobs, _bound_equivariance
+    )
 
 
 def _check_corollary_f(item):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,21 @@ def test_malformed_values_exit_usage(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "pairs, label",
+    [
+        ("s=0:l=1;s=1:l=1", "((0, Partition(1,)), (1, Partition(1,)))"),  # the sizes carry
+        ("s=0:l=2,2", "((0, Partition(2, 2)),)"),  # an even partition
+        ("s=0:l=2;s=1:l=2", "((0, Partition(2,)), (1, Partition(2,)))"),
+    ],
+)
+def test_sharp_glu_refuses_non_odd_labels(capsys, pairs, label):
+    assert run_cli("sharp-glu", "--q", "3", "--pairs", pairs) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GLabel(kappa='+', q=3, pairs={label}) is not an odd label\n"
 
 
 def test_star_command(capsys):
@@ -241,6 +257,39 @@ def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1000002 labels" in captured.err
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, message",
+    [
+        ("gl-counts", "11", "221184 labels of rank 11 > cap 200000"),
+        (
+            "galois-equivariance",
+            "8",
+            "110592 labels of rank 7 x 10 actions = 1105920 checks > cap 200000",
+        ),
+    ],
+)
+def test_label_sweeps_bound_the_whole_grid_first(capsys, suite, max_n, message):
+    # only the grid's last items pass the cap, and none of the earlier ones may run first
+    start = time.perf_counter()
+    assert run_cli("verify", suite, "--max-n", max_n, "--q", "25") == 4
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"enumeration cap: {message}\n"
+
+
+def test_default_and_benchmark_label_grids_stay_under_the_cap(monkeypatch):
+    # the bound runs before _sweep, so a stubbed _sweep checks only the bound
+    monkeypatch.setattr(verify, "_sweep", lambda report, items, check, jobs: report)
+    for suite in ("gl-counts", "omega-bij", "galois-equivariance", "corollaryF"):
+        run_suite(suite)
+    # the benchmark's labels grid
+    run_suite("galois-equivariance", max_n=5, qs=(3, 5, 9))
+    run_suite("omega-bij", max_n=4, qs=(3, 5, 9, 17))
+    run_suite("corollaryF", max_n=6, qs=(3, 5, 7, 9, 11))
+    run_suite("gl-counts", max_n=7, qs=(3, 5, 7, 9))
 
 
 def test_verify_jobs_deterministic(capsys):

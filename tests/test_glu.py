@@ -4,10 +4,11 @@ import pytest
 
 from oddchar.errors import DomainError
 from oddchar.characters import degree, is_odd_partition, odd_partitions
-from oddchar.partitions import Partition, nu2, two_adic
+from oddchar.partitions import Partition, nu2, odd_multinomial_order, partitions, two_adic
 from oddchar.glu import (
     Q_LIMIT,
     GLabel,
+    _is_odd_shape,
     _prime_base,
     canonical_order,
     count_odd_irr_gl,
@@ -84,6 +85,39 @@ def test_is_odd_label_examples():
     assert is_odd_label(GLabel("-", 3, ((0, Partition((1,))), (1, Partition((2,))))))
     # odd sizes but an even partition
     assert not is_odd_label(GLabel("+", 3, ((0, Partition((2, 2))),)))
+
+
+def test_cached_is_odd_label_matches_the_direct_test():
+    def direct(label):
+        if not all(is_odd_partition(lam) for _, lam in label.pairs):
+            return False
+        return odd_multinomial_order([lam.n for _, lam in label.pairs]) is not None
+
+    labels = [
+        label
+        for n in range(1, 6)
+        for q in (3, 5)
+        for kappa in ("+", "-")
+        for label in enumerate_odd_labels(n, q, kappa)
+    ]
+    # every shape of at most two pairs of total size <= 6, odd or not
+    shapes = [(lam,) for n in range(1, 7) for lam in partitions(n)]
+    shapes += [
+        (lam, mu)
+        for a in range(1, 6)
+        for b in range(1, 7 - a)
+        for lam in partitions(a)
+        for mu in partitions(b)
+    ]
+    labels += [GLabel("+", 5, tuple(enumerate(shape))) for shape in shapes]
+    assert not all(map(direct, labels)) and any(map(direct, labels[-len(shapes) :]))
+    for label in labels:
+        assert is_odd_label(label) == direct(label), label
+    # residues do not enter the key: a residue translate is a cache hit
+    assert is_odd_label(GLabel("+", 5, ((0, Partition((2, 1, 1))), (1, Partition((1,))))))
+    hits = _is_odd_shape.cache_info().hits
+    assert is_odd_label(GLabel("+", 5, ((2, Partition((2, 1, 1))), (3, Partition((1,))))))
+    assert _is_odd_shape.cache_info().hits == hits + 1
 
 
 def test_canonical_order():

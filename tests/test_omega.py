@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from oddchar import verify
 from oddchar.errors import DomainError
 from oddchar.partitions import HookPartition, Partition, two_adic
 from oddchar.glu import GLabel, enumerate_odd_labels
@@ -125,6 +126,61 @@ def test_equivariance_sweep():
                 assert outer_act("F", image) == sharp_glu(outer_act("F", label))
                 if kappa == "+":
                     assert outer_act("tau", image) == sharp_glu(outer_act("tau", label))
+
+
+def test_sharp_glu_refuses_non_odd_labels_as_domain_errors():
+    for pairs in [
+        ((0, Partition((1,))), (1, Partition((1,)))),  # the sizes carry
+        ((0, Partition((2, 2))),),  # an even partition
+        ((0, Partition((2,))), (1, Partition((2,)))),
+        ((0, Partition((3,))), (1, Partition((2, 1)))),  # odd partitions, sizes carry
+        (),
+    ]:
+        # a TheoremViolationError is no DomainError, so it would escape and fail the test
+        with pytest.raises(DomainError):
+            sharp_glu(GLabel("+", 3, pairs))
+
+
+def _leave_the_labels(act):
+    """act, but a label's first partition is swapped for one of no enumerated label."""
+
+    def patched(arg, x):
+        moved = act(arg, x)
+        if isinstance(moved, GLabel):
+            (s, _), *rest = moved.pairs
+            return GLabel(x.kappa, x.q, ((s, Partition((2, 2))), *rest))
+        return moved
+
+    return patched
+
+
+def test_equivariance_reports_an_action_that_leaves_the_labels(monkeypatch):
+    item = (3, 3, "+")  # 8 labels; units {1}; words F, tau
+    assert verify._check_equivariance(item) == (24, [])
+    monkeypatch.setattr(verify, "galois_act", _leave_the_labels(galois_act))
+    checks, ces = verify._check_equivariance(item)
+    assert checks == 24 and len(ces) == 8
+    assert {ce["actual"] for ce in ces} == {"galois"}
+    monkeypatch.setattr(verify, "galois_act", galois_act)
+    monkeypatch.setattr(verify, "outer_act", _leave_the_labels(outer_act))
+    checks, ces = verify._check_equivariance(item)
+    assert checks == 24 and len(ces) == 16
+    assert {ce["actual"] for ce in ces} == {"outer"}
+
+
+def test_omega_bij_reports_an_inverse_that_leaves_the_labels(monkeypatch):
+    item = (3, 3, "+")
+    assert verify._check_omega_bij(item) == (16, [])
+
+    def astray(omega):
+        label = sharp_glu_inverse(omega)
+        (s, _), *rest = label.pairs
+        return GLabel(label.kappa, label.q, ((s, Partition((2, 2))), *rest))
+
+    monkeypatch.setattr(verify, "sharp_glu_inverse", astray)
+    checks, ces = verify._check_omega_bij(item)
+    assert checks == 16 and len(ces) == 8
+    assert {ce["expected"] for ce in ces} == {"round trip"}
 
 
 def test_count_real_examples():
