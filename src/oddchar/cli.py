@@ -11,6 +11,7 @@ against enumeration.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -71,48 +72,76 @@ def emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def build_parser():
+def _arg(*names, **options):
+    return names, options
+
+
+_PARTITION = _arg("partition")
+_KAPPA = _arg("--kappa", default="+", choices=["+", "-"])
+_LABEL = (
+    _KAPPA,
+    _arg("--q", type=int, required=True),
+    _arg("--pairs", required=True, help="e.g. 's=1:l=2,2,1;s=0:l=1'"),
+)
+
+# Each command's help line and arguments, in the order -h lists them.
+COMMANDS = {
+    "star": ("unique odd branch of an odd partition", (_PARTITION,)),
+    "alpha": ("hook coordinates of an odd partition", (_PARTITION,)),
+    "sharp": ("Sylow linear-character label of an odd partition", (_PARTITION,)),
+    "young-star": (
+        "per-factor partitions for an odd-index Young subgroup",
+        (_PARTITION, _arg("--blocks", required=True, help="comma list of factor sizes")),
+    ),
+    "wreath-star": (
+        "wreath-product correspondent for an odd-index S_k wr S_t",
+        (_PARTITION, _arg("--k", type=int, required=True), _arg("--t", type=int, required=True)),
+    ),
+    "parabolic-star": ("parabolic star on a GL/GU label", _LABEL),
+    "sharp-glu": ("sharp glu on a GL/GU label", _LABEL),
+    "levi-star": (
+        "levi star on a GL/GU label",
+        _LABEL + (_arg("--blocks", required=True, help="comma list of Levi block sizes"),),
+    ),
+    "count": (
+        "exact census of odd-degree labels",
+        (
+            _arg("target", choices=["sn", "gl", "real"]),
+            _arg("--n", type=int, required=True),
+            _arg("--q", type=int),
+            _KAPPA,
+        ),
+    ),
+    "verify": (
+        "run a named verification sweep",
+        (
+            _arg("suite", help="sweep name, e.g. sn-star; an unknown name lists them all"),
+            _arg("--max-n", type=int, dest="max_n"),
+            _arg("--q", help="comma list of prime powers"),
+            _arg("--kappa", help="comma list drawn from +,-"),
+            _arg("--jobs", type=int, default=1),
+        ),
+    ),
+}
+
+
+def build_parser(argv=()):
+    """The parser for argv: only its command's subparser when argv starts with one.
+
+    Anything else (no arguments, -h, an unknown command, an option first) gets
+    every subparser, so its help and errors list them all. The explicit metavar
+    keeps the top-level usage line of a one-command parser the same; the full
+    parser has none, so a missing command is still reported as "command".
+    """
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = _Parser(prog="oddchar", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("star", help="unique odd branch of an odd partition")
-    p.add_argument("partition")
-
-    p = sub.add_parser("alpha", help="hook coordinates of an odd partition")
-    p.add_argument("partition")
-
-    p = sub.add_parser("sharp", help="Sylow linear-character label of an odd partition")
-    p.add_argument("partition")
-
-    p = sub.add_parser("young-star", help="per-factor partitions for an odd-index Young subgroup")
-    p.add_argument("partition")
-    p.add_argument("--blocks", required=True, help="comma list of factor sizes")
-
-    p = sub.add_parser("wreath-star", help="wreath-product correspondent for an odd-index S_k wr S_t")
-    p.add_argument("partition")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    for name in ("parabolic-star", "sharp-glu", "levi-star"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} on a GL/GU label")
-        p.add_argument("--kappa", default="+", choices=["+", "-"])
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--pairs", required=True, help="e.g. 's=1:l=2,2,1;s=0:l=1'")
-        if name == "levi-star":
-            p.add_argument("--blocks", required=True, help="comma list of Levi block sizes")
-
-    p = sub.add_parser("count", help="exact census of odd-degree labels")
-    p.add_argument("target", choices=["sn", "gl", "real"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--kappa", default="+", choices=["+", "-"])
-
-    p = sub.add_parser("verify", help="run a named verification sweep")
-    p.add_argument("suite", help="sweep name, e.g. sn-star; an unknown name lists them all")
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--q", help="comma list of prime powers")
-    p.add_argument("--kappa", help="comma list drawn from +,-")
-    p.add_argument("--jobs", type=int, default=1)
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, arguments) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
     return parser
 
 
@@ -126,7 +155,7 @@ def _json_int(value):
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     cmd = args.command
 
     if cmd == "star":
@@ -221,5 +250,19 @@ def main(argv=None):
     sys.exit(code)
 
 
+def launch():
+    """Process entry point: main(), then an exit that skips the shutdown collection.
+
+    Freezing moves every live object out of the collector's reach, so the
+    interpreter does not walk the module cycles on its way out; atexit handlers
+    and the flush of stdout and stderr still run. main() itself never freezes:
+    in-process callers keep collecting their garbage.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    launch()

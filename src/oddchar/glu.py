@@ -149,6 +149,8 @@ class GLabel(Value):
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
+        if not self.pairs:
+            raise DomainError("a label needs at least one pair")
         residues = [s for s, _ in self.pairs]
         if any(not 0 <= s < mod for s in residues):
             raise DomainError(f"residues must lie in [0, {mod})")

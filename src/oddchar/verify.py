@@ -9,7 +9,7 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 import math
 import os
 
-from .errors import DEFAULT_CAP, EnumerationCapError
+from .errors import DEFAULT_CAP, EnumerationCapError, TheoremViolationError
 from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length
 from .characters import (
     branch_restrict,
@@ -308,7 +308,11 @@ def _check_omega_bij(item):
             }
         )
     for omega in space:
-        if table.get(sharp_glu_inverse(omega)) != omega:
+        try:
+            inverse = sharp_glu_inverse(omega)
+        except TheoremViolationError:  # the inverse checks its own round trip
+            inverse = None
+        if table.get(inverse) != omega:
             ces.append({"input": omega.to_json(), "expected": "round trip", "actual": "failed"})
     return len(labels) + len(space), ces
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -421,6 +422,78 @@ def test_argv_fuzz_keeps_the_exit_code_contract(monkeypatch):
         assert "Traceback" not in err.getvalue(), argv
 
     check()
+
+
+def _parsed(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, namespace = 0, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code, namespace = exc.code, None
+    return code, namespace, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(argv=_ARGV)
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["star", "-h"])
+@example(argv=["x"])
+@example(argv=["sta", "3"])  # a prefix of a command is not that command
+@example(argv=["--q", "3", "star", "3"])  # an option before the command
+@example(argv=["star", "3", "--extra"])  # the top-level parser reports it, with its usage line
+@example(argv=["verify", "sn-star", "--max", "3"])  # an abbreviated option
+def test_parser_filter_is_exact(argv):
+    assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
+
+
+def test_parser_for_a_command_builds_only_that_command():
+    code, _, _, err = _parsed(cli.build_parser(["star"]), ["alpha", "3"])
+    assert code == 2 and "invalid choice: 'alpha'" in err
+
+
+def test_missing_command_is_named_command(capsys):
+    assert run_cli() == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    assert gc.get_freeze_count() == 0
+    assert run_cli("star", "3") == 0
+    assert run_cli("star", "2,2") == 2
+    assert gc.get_freeze_count() == 0
+
+
+LAUNCHES = [
+    (["star", "3"], 0),
+    (["verify", "sharp-oracle", "--max-n", "8"], 1),  # the known counterexamples
+    (["star", "2,2"], 2),
+    (["verify", "sharp-oracle", "--max-n", "20"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", LAUNCHES, ids=[" ".join(a) for a, _ in LAUNCHES])
+def test_launch_keeps_exit_codes_and_stdout(capsysbinary, argv, code):
+    launched = subprocess.run([sys.executable, "-m", "oddchar.cli", *argv], capture_output=True)
+    assert launched.returncode == code
+    assert run_cli(*argv) == code
+    captured = capsysbinary.readouterr()
+    assert launched.stdout == captured.out  # read through a pipe, to the last byte
+    assert launched.stderr == captured.err
+
+
+def test_launch_freezes_after_main_and_still_runs_atexit():
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from oddchar.cli import launch\n"
+        "sys.argv[1:] = ['star', '3']\n"
+        "launch()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout == '{"result":[2]}\nfrozen True\n'
 
 
 def test_cli_import_leaves_process_pool_out():

@@ -72,6 +72,8 @@ def test_glabel_validation():
         GLabel("+", 3, ((0, Partition((1,))), (0, Partition((2,)))))  # repeated residue
     with pytest.raises(DomainError):
         GLabel("+", 3, ((5, Partition((1,))),))  # residue out of range
+    with pytest.raises(DomainError, match="at least one pair"):
+        GLabel("+", 3, ())
     label = GLabel("-", 3, ((3, Partition((2,))),))
     assert label.modulus == 4
     assert label.n == 2

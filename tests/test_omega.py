@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oddchar import verify
+from oddchar import cli, omega, verify
 from oddchar.errors import DomainError
 from oddchar.partitions import HookPartition, Partition, two_adic
 from oddchar.glu import GLabel, enumerate_odd_labels
@@ -181,6 +181,23 @@ def test_omega_bij_reports_an_inverse_that_leaves_the_labels(monkeypatch):
     checks, ces = verify._check_omega_bij(item)
     assert checks == 16 and len(ces) == 8
     assert {ce["expected"] for ce in ces} == {"round trip"}
+
+
+def test_omega_bij_reports_a_failed_round_trip(monkeypatch, capsys):
+    inverse = omega.alpha_sn_inverse
+
+    def planted(theta):  # (1, 1, 1) comes back as (3)
+        lam = inverse(theta)
+        return Partition((3,)) if lam == Partition((1, 1, 1)) else lam
+
+    monkeypatch.setattr(omega, "alpha_sn_inverse", planted)
+    report = verify.run_suite("omega-bij", max_n=3, qs=(3,))
+    assert report.failed > 0
+    assert {ce["expected"] for ce in report.to_json()["counterexamples"]} == {"round trip"}
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "omega-bij", "--max-n", "3", "--q", "3"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_count_real_examples():
