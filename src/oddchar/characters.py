@@ -4,6 +4,18 @@ Exact arbitrary-precision arithmetic throughout: hook-length degrees,
 Murnaghan-Nakayama values, branching and Littlewood-Richardson coefficients.
 These are the independent checks against which every correspondence is
 validated, so none of them may share code paths with the maps they test.
+
+The parity oracle is_odd_partition reads the hook-length formula 2-adically.
+With the first-column hook lengths b_1 > ... > b_l of lam, row i holds the
+hook lengths {1, ..., b_i} minus {b_i - b_k : k > i}, so
+
+    nu2(f^lam) = nu2(n!) - sum_i nu2(b_i!) + sum_{i<k} nu2(b_i - b_k),
+
+with nu2(b!) = b - popcount(b). It takes the shorter of lam and its
+conjugate, which have the same degree, and never forms the degree itself.
+The correspondences strip rim hooks, which partitions.rim_hooks_of_length
+finds on the same b_i; the parity oracle computes its own b_i and calls no
+rim-hook code, so a fault there cannot hide in the census it checks.
 """
 
 import math
@@ -39,9 +51,24 @@ def degree(lam):
     return _degree(lam.parts)
 
 
+@cache
+def _is_odd(parts):
+    if parts and parts[0] < len(parts):
+        parts = conjugate_parts(parts)
+    length = len(parts)
+    beta = [p + length - i for i, p in enumerate(parts, 1)]
+    n = sum(parts)
+    nu = n - n.bit_count() - sum([b - b.bit_count() for b in beta])
+    for i, b in enumerate(beta):
+        for c in beta[i + 1 :]:
+            gap = b - c
+            nu += (gap & -gap).bit_length() - 1
+    return nu == 0
+
+
 def is_odd_partition(lam):
-    """True iff degree(lam) is odd."""
-    return degree(lam) % 2 == 1
+    """True iff degree(lam) is odd, from the 2-adic hook-length formula."""
+    return _is_odd(lam.parts)
 
 
 def odd_partitions(n):

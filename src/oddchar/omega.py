@@ -37,6 +37,8 @@ class OmegaLabel(Value):
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
+        if not self.blocks:
+            raise DomainError("a label needs at least one block")
         check_two_adic_layout(tuple(size for size, _, _ in self.blocks))
         for size, s, hook in self.blocks:
             if not 0 <= s < mod:

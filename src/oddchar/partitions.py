@@ -42,6 +42,12 @@ class Value:
     them in _validate. An instance equals only instances of its own class,
     hashes its field tuple, prints as Name(field=value, ...) and pickles and
     copies through _trusted.
+
+    The classmethod _trusted(cls, *fields) is internal: it builds an instance
+    from field values known to be valid, unchecked, and raises TypeError on a
+    wrong number of fields. Only builders whose output is valid by
+    construction call it; public constructors, from_json and the CLI parser
+    keep every check.
     """
 
     __slots__ = ()
@@ -49,22 +55,32 @@ class Value:
     def __init_subclass__(cls):
         fields = cls.__slots__
         cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        if "__eq__" in cls.__dict__:
-            return  # Partition compares and hashes its parts alone
-        # Equality and hash are compiled per class, as the dataclass methods
-        # they replace were: through a generic getattr they took about twice
-        # as long and slowed the label sweeps.
-        mine = "".join(f"self.{name}, " for name in fields)
-        theirs = mine.replace("self.", "other.")
-        scope = {}
-        exec(
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is not self.__class__: return NotImplemented\n"
-            f"    return ({mine}) == ({theirs})\n"
-            f"def __hash__(self): return hash(({mine}))\n",
-            scope,
+        # _trusted, __eq__ and __hash__ are compiled per class in one exec:
+        # through a generic loop over the setters or getattr they took about
+        # twice as long, and the sweeps build and compare tens of thousands of
+        # values.
+        scope = {"new": object.__new__}
+        scope.update((f"set_{name}", setter) for name, setter in zip(fields, cls._setters))
+        source = (
+            f"def _trusted(cls, {', '.join(fields)}):\n"
+            "    self = new(cls)\n"
+            + "".join(f"    set_{name}(self, {name})\n" for name in fields)
+            + "    return self\n"
         )
-        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+        own_equality = "__eq__" in cls.__dict__  # Partition compares its parts alone
+        if not own_equality:
+            mine = "".join(f"self.{name}, " for name in fields)
+            theirs = mine.replace("self.", "other.")
+            source += (
+                "def __eq__(self, other):\n"
+                "    if other.__class__ is not self.__class__: return NotImplemented\n"
+                f"    return ({mine}) == ({theirs})\n"
+                f"def __hash__(self): return hash(({mine}))\n"
+            )
+        exec(source, scope)
+        cls._trusted = classmethod(scope["_trusted"])
+        if not own_equality:
+            cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
 
     def __init__(self, *values):
         if len(values) != len(self._setters):
@@ -72,18 +88,6 @@ class Value:
         for setter, value in zip(self._setters, values):
             setter(self, value)
         self._validate()
-
-    @classmethod
-    def _trusted(cls, *values):
-        """Internal: an instance from field values known to be valid, unchecked.
-
-        Only builders whose output is valid by construction call it; public
-        constructors, from_json and the CLI parser keep every check.
-        """
-        self = object.__new__(cls)
-        for setter, value in zip(cls._setters, values):
-            setter(self, value)
-        return self
 
     def _validate(self):
         pass
@@ -322,29 +326,40 @@ def rim_hooks_of_length(lam, m):
 
     Each diagram cell whose hook length is m yields exactly one rim m-hook;
     returns (RimHook, hook type, partition after removal) triples in reading
-    order of the corner cells.
+    order of the corner cells, at most one per row.
+
+    It works on the first-column hook lengths b_i = lam_i + l - i of the l
+    rows, which strictly decrease. A rim m-hook has its corner in row i
+    exactly when b_i - m >= 0 is not another b_k; its leg is the number of
+    b_k strictly between b_i - m and b_i, and removing it replaces b_i by
+    b_i - m. One pass over the rows finds them all.
     """
     if m < 1:
         raise DomainError("m must be positive")
     out = []
     parts = lam.parts
-    conj = conjugate_parts(parts)
-    for i in range(1, len(parts) + 1):
-        for j in range(1, parts[i - 1] + 1):
-            arm = parts[i - 1] - j
-            leg = conj[j - 1] - i
-            if arm + leg + 1 != m:
-                continue
-            l = i + leg
-            hook = RimHook._trusted(m, leg + 1, arm + 1, parts, (i, j))
-            rest = list(parts)
-            for t in range(i, l):
-                rest[t - 1] = parts[t] - 1
-            rest[l - 1] = j - 1
-            rest = tuple(p for p in rest if p > 0)
-            remainder = Partition._trusted(rest, sum(rest))
-            assert remainder.n == lam.n - m
-            out.append((hook, hook.hook_type(), remainder))
+    length = len(parts)
+    beta = [p + length - i for i, p in enumerate(parts, 1)]
+    below = 0  # the first row whose b is at most the current b_i - m
+    for i, b in enumerate(beta):
+        target = b - m
+        if target < 0:
+            break  # and so for every later row, as the b_i decrease
+        while below < length and beta[below] > target:
+            below += 1
+        if below < length and beta[below] == target:
+            continue
+        # the hook spans rows i..below-1 (0-indexed); the last of them is left
+        # with b = target, so it keeps target - (length - below) = j - 1 cells
+        leg = below - 1 - i
+        j = target - length + below + 1
+        hook = RimHook._trusted(m, leg + 1, m - leg, parts, (i + 1, j))
+        rest = parts[:i] + tuple([p - 1 for p in parts[i + 1 : below]]) + (j - 1,) + parts[below:]
+        if j == 1:  # the hook ends in the first column: drop the emptied rows
+            rest = tuple([p for p in rest if p > 0])
+        remainder = Partition._trusted(rest, sum(rest))
+        assert remainder.n == lam.n - m
+        out.append((hook, hook.hook_type(), remainder))
     return out
 
 

@@ -1,9 +1,11 @@
+import importlib
 import math
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddchar import characters
 from oddchar.errors import DomainError
 from oddchar.characters import (
     branch_restrict,
@@ -79,6 +81,34 @@ def test_is_odd_partition_examples():
         n = 1 << e
         for leg in range(n):
             assert is_odd_partition(Partition((n - leg,) + (1,) * leg))
+
+
+def test_parity_oracle_matches_degree_parity():
+    for n in range(31):
+        by_degree = []
+        for lam in partitions(n):
+            odd = degree(lam) % 2 == 1
+            assert is_odd_partition(lam) == odd, lam
+            if odd:
+                by_degree.append(lam)
+        assert odd_partitions(n) == by_degree, n  # the census keeps the listing order
+    with pytest.raises(DomainError):
+        odd_partitions(-1)
+
+
+def test_parity_oracle_needs_no_rim_hooks(monkeypatch):
+    expected = [lam for lam in partitions(12) if degree(lam) % 2 == 1]
+
+    def refuse(lam, m):
+        raise AssertionError("the parity oracle stripped a rim hook")
+
+    # the package attribute oddchar.partitions is the function; this is the module
+    partitions_module = importlib.import_module("oddchar.partitions")
+    monkeypatch.setattr(partitions_module, "rim_hooks_of_length", refuse)
+    monkeypatch.setattr(characters, "rim_hooks_of_length", refuse)
+    characters._is_odd.cache_clear()  # decide parity afresh, not from earlier tests
+    assert is_odd_partition(Partition((2, 2, 1))) and not is_odd_partition(Partition((2, 2)))
+    assert odd_partitions(12) == expected
 
 
 def test_odd_census_matches_hook_strip_criterion():

@@ -17,8 +17,10 @@ from oddchar.omega import (
 from oddchar.partitions import (
     HookPartition,
     Partition,
+    RimHook,
     attach_unique_gamma,
     binom_is_odd,
+    conjugate_parts,
     m_core,
     nu2,
     odd_multinomial_order,
@@ -74,6 +76,28 @@ def border_strips(lam, m):
                     stack.append(nb)
         if seen == cells:
             out.append((mu, frozenset(cells)))
+    return out
+
+
+def rim_hooks_by_cell_scan(lam, m):
+    """Reference rim hooks: one per cell of hook length m, in reading order."""
+    out = []
+    parts = lam.parts
+    conj = conjugate_parts(parts)
+    for i in range(1, len(parts) + 1):
+        for j in range(1, parts[i - 1] + 1):
+            arm = parts[i - 1] - j
+            leg = conj[j - 1] - i
+            if arm + leg + 1 != m:
+                continue
+            l = i + leg
+            hook = RimHook._trusted(m, leg + 1, arm + 1, parts, (i, j))
+            rest = list(parts)
+            for t in range(i, l):
+                rest[t - 1] = parts[t] - 1
+            rest[l - 1] = j - 1
+            rest = tuple(p for p in rest if p > 0)
+            out.append((hook, hook.hook_type(), Partition._trusted(rest, sum(rest))))
     return out
 
 
@@ -158,9 +182,9 @@ def _hook_json(m):
 
 
 # (label class, constructor call, JSON) with a wrong block layout, a residue
-# out of range, a duplicate residue or an empty partition. OmegaLabel blocks
-# may share a residue, since one pair can own several blocks; its duplicate
-# is a block size twice, a wrong layout.
+# out of range, a duplicate residue, an empty partition or no blocks at all.
+# OmegaLabel blocks may share a residue, since one pair can own several
+# blocks; its duplicate is a block size twice, a wrong layout.
 BAD_LABELS = [
     (
         ThetaLabel,
@@ -215,6 +239,7 @@ BAD_LABELS = [
         lambda: GLabel("+", 5, ((1, Partition(())),)),
         {"kappa": "+", "q": 5, "pairs": [{"s": 1, "lambda": []}]},
     ),
+    (OmegaLabel, lambda: OmegaLabel("+", 3, ()), {"kappa": "+", "q": 3, "blocks": []}),
 ]
 
 
@@ -362,6 +387,21 @@ def test_rim_hooks_match_border_strip_oracle():
                     for hook, _, rest in rim_hooks_of_length(lam, m)
                 }
                 assert got == set(border_strips(lam, m)), (lam, m)
+
+
+def test_rim_hooks_match_cell_scan_in_order():
+    for n in range(15):
+        for lam in partitions(n):
+            for m in range(1, n + 2):
+                got = [
+                    (hook, hook.cells, hook_type, rest.parts, rest.n)
+                    for hook, hook_type, rest in rim_hooks_of_length(lam, m)
+                ]
+                want = [
+                    (hook, hook.cells, hook_type, rest.parts, rest.n)
+                    for hook, hook_type, rest in rim_hooks_by_cell_scan(lam, m)
+                ]
+                assert got == want, (lam, m)
 
 
 def test_rim_hook_geometry_invariants():

@@ -129,3 +129,30 @@ def test_constructor_checks_the_number_of_fields():
         HookPartition(3)
     with pytest.raises(TypeError):
         HookPartition(3, 1, 0)
+
+
+@cases
+def test_trusted_builds_the_validated_value(make, text):
+    value = make()
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in value.__slots__)
+    built = cls._trusted(*fields)
+    validated = Partition(value.parts) if cls is Partition else cls(*fields)
+    assert type(built) is cls and built == validated and hash(built) == hash(validated)
+    assert [getattr(built, name) for name in built.__slots__] == list(fields)
+    assert [getattr(validated, name) for name in built.__slots__] == list(fields)
+    assert repr(built) == text
+    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert type(clone) is cls and clone == validated and repr(clone) == text
+
+
+@cases
+def test_trusted_checks_the_number_of_fields(make, text):
+    # for Partition(2, 1) the short call is Partition._trusted((2, 1)), without n
+    value = make()
+    fields = tuple(getattr(value, name) for name in value.__slots__)
+    with pytest.raises(TypeError):
+        type(value)._trusted(*fields[:-1])
+    with pytest.raises(TypeError):
+        type(value)._trusted(*fields, None)
+
