@@ -13,6 +13,20 @@ hook lengths {1, ..., b_i} minus {b_i - b_k : k > i}, so
 
 with nu2(b!) = b - popcount(b). It takes the shorter of lam and its
 conjugate, which have the same degree, and never forms the degree itself.
+
+Each valuation is kept in _nu2_degree, keyed on parts, and one short step
+from a known tail decides a partition. Write the shorter shape as
+(h,) + tau with l rows and |tau| = m = n - h. Its b_1 is h + l - 1 and the
+other b_i are the first-column hook lengths of tau, so
+
+    nu2(f^lam) = nu2(f^tau) + nu2(n!) - nu2(m!) - nu2((h + l - 1)!)
+                 + nu2(prod_{i=1}^{l-1} (h + i - tau_i)).
+
+The step is taken when tau is already in _nu2_degree; otherwise the closed
+form above is used, so the step never walks a chain of tails. The census
+odd_partitions(n) decides every partition of n, so a census filled for
+ascending n takes the step on all of them.
+
 The correspondences strip rim hooks, which partitions.rim_hooks_of_length
 finds on the same b_i; the parity oracle computes its own b_i and calls no
 rim-hook code, so a fault there cannot hide in the census it checks.
@@ -20,9 +34,10 @@ rim-hook code, so a fault there cannot hide in the census it checks.
 
 import math
 from functools import cache
+from operator import sub
 
 from .errors import DomainError
-from .partitions import Partition, conjugate_parts, partitions, rim_hooks_of_length
+from .partitions import Partition, _partition_tuples, conjugate_parts, rim_hooks_of_length
 
 __all__ = [
     "CycleType",
@@ -51,29 +66,54 @@ def degree(lam):
     return _degree(lam.parts)
 
 
-@cache
-def _is_odd(parts):
-    if parts and parts[0] < len(parts):
-        parts = conjugate_parts(parts)
-    length = len(parts)
-    beta = [p + length - i for i, p in enumerate(parts, 1)]
-    n = sum(parts)
-    nu = n - n.bit_count() - sum([b - b.bit_count() for b in beta])
-    for i, b in enumerate(beta):
-        for c in beta[i + 1 :]:
-            gap = b - c
-            nu += (gap & -gap).bit_length() - 1
-    return nu == 0
+# nu2(f^lam) of every partition tuple the parity oracle has decided. A plain
+# dict: the first-row step asks whether a tail is known without computing it.
+_nu2_degree = {}
+
+
+def _two_adic_degree(parts, n):
+    """nu2(f^lam) for the partition tuple parts of n; see the module docstring."""
+    nu = _nu2_degree.get(parts)
+    if nu is not None:
+        return nu
+    shape = conjugate_parts(parts) if parts and parts[0] < len(parts) else parts
+    tail = shape[1:]
+    nu = _nu2_degree.get(tail)
+    if nu is not None:
+        # the first-row step: shape = (h,) + tail, with l rows and |tail| = n - h
+        h, length = shape[0], len(shape)
+        m, b = n - h, h + length - 1
+        gaps = math.prod(map(sub, range(h + 1, h + length), tail))
+        nu += n - n.bit_count() - (m - m.bit_count()) - (b - b.bit_count())
+        nu += (gaps & -gaps).bit_length() - 1
+    else:
+        length = len(shape)
+        beta = [p + length - i for i, p in enumerate(shape, 1)]
+        nu = n - n.bit_count() - sum([b - b.bit_count() for b in beta])
+        for i, b in enumerate(beta):
+            for c in beta[i + 1 :]:
+                gap = b - c
+                nu += (gap & -gap).bit_length() - 1
+    _nu2_degree[parts] = nu
+    return nu
 
 
 def is_odd_partition(lam):
     """True iff degree(lam) is odd, from the 2-adic hook-length formula."""
-    return _is_odd(lam.parts)
+    return _two_adic_degree(lam.parts, lam.n) == 0
+
+
+@cache
+def _odd_census(n):
+    make = Partition._trusted
+    return tuple(make(t, n) for t in _partition_tuples(n) if _two_adic_degree(t, n) == 0)
 
 
 def odd_partitions(n):
-    """Census of odd partitions of n by the degree-parity oracle."""
-    return [lam for lam in partitions(n) if is_odd_partition(lam)]
+    """Census of odd partitions of n by the degree-parity oracle, in listing order."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    return list(_odd_census(n))
 
 
 @cache
@@ -100,12 +140,12 @@ def branch_restrict(lam):
     if lam.n < 1:
         raise DomainError("need a partition of n >= 1")
     out = []
-    parts = lam.parts
+    parts, n = lam.parts, lam.n - 1
     for i in range(len(parts) - 1, -1, -1):
-        if i + 1 == len(parts) or parts[i + 1] < parts[i]:
-            row = list(parts)
-            row[i] -= 1
-            out.append(Partition._trusted(tuple(x for x in row if x > 0), lam.n - 1))
+        p = parts[i]
+        if i + 1 == len(parts) or parts[i + 1] < p:
+            row = (p - 1,) if p > 1 else ()  # only the last row can empty; it is dropped
+            out.append(Partition._trusted(parts[:i] + row + parts[i + 1 :], n))
     return out
 
 

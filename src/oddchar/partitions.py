@@ -152,12 +152,6 @@ class Partition(Value):
         """Containment of Young diagrams."""
         return all(self.row(i + 1) >= p for i, p in enumerate(other.parts))
 
-    def hook_length(self, i, j):
-        """Hook length at cell (i, j), 1-indexed; cell must lie in the diagram."""
-        arm = self.row(i) - j
-        leg = self.conjugate().row(j) - i
-        return arm + leg + 1
-
     def is_hook(self):
         return self.n == 0 or len(self.parts) == 1 or self.parts[1] == 1
 

@@ -13,7 +13,6 @@ defining property: the labeled character is the unique linear constituent of
 odd multiplicity in the restriction of the hook character.
 """
 
-import math
 from itertools import product
 
 from .errors import DomainError, TheoremViolationError
@@ -261,14 +260,15 @@ def young_star(lam, blocks):
 
 
 def wreath_index_is_odd(k, t):
-    """Exact-arithmetic parity of the index of S_k wr S_t in S_{kt}."""
+    """Parity of the index (kt)! / (k!^t t!) of S_k wr S_t in S_{kt}.
+
+    By Legendre's formula nu2(x!) = x - popcount(x), the index is odd exactly
+    when nu2((kt)!) = t * nu2(k!) + nu2(t!).
+    """
     if k < 1 or t < 1:
         raise DomainError("k and t must be positive")
-    index, rem = divmod(
-        math.factorial(k * t), math.factorial(k) ** t * math.factorial(t)
-    )
-    assert rem == 0
-    return index % 2 == 1
+    n = k * t
+    return n - n.bit_count() == t * (k - k.bit_count()) + t - t.bit_count()
 
 
 def theorem_d_star(lam, k, t):

@@ -16,7 +16,13 @@ from oddchar.characters import (
     mn_value,
     odd_partitions,
 )
-from oddchar.partitions import Partition, partitions, rim_hooks_of_length, two_adic
+from oddchar.partitions import (
+    HookPartition,
+    Partition,
+    partitions,
+    rim_hooks_of_length,
+    two_adic,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -48,6 +54,23 @@ def parity_by_binary_hooks(lam):
     return any(
         parity_by_binary_hooks(rest) for _, _, rest in rim_hooks_of_length(lam, m)
     )
+
+
+def branch_by_row_copy(lam):
+    """Reference branching: copy the rows, lower one, filter out an empty row."""
+    out = []
+    parts = lam.parts
+    for i in range(len(parts) - 1, -1, -1):
+        if i + 1 == len(parts) or parts[i + 1] < parts[i]:
+            row = list(parts)
+            row[i] -= 1
+            out.append(Partition(tuple(x for x in row if x > 0)))
+    return out
+
+
+def valuation(d):
+    """The exponent of 2 in the positive integer d."""
+    return (d & -d).bit_length() - 1
 
 
 # ---------------------------------------------------------------- degree
@@ -106,9 +129,56 @@ def test_parity_oracle_needs_no_rim_hooks(monkeypatch):
     partitions_module = importlib.import_module("oddchar.partitions")
     monkeypatch.setattr(partitions_module, "rim_hooks_of_length", refuse)
     monkeypatch.setattr(characters, "rim_hooks_of_length", refuse)
-    characters._is_odd.cache_clear()  # decide parity afresh, not from earlier tests
+    # decide parity afresh, not from the valuations or censuses of earlier tests
+    characters._nu2_degree.clear()
+    characters._odd_census.cache_clear()
     assert is_odd_partition(Partition((2, 2, 1))) and not is_odd_partition(Partition((2, 2)))
     assert odd_partitions(12) == expected
+
+
+def test_two_adic_degree_is_exact_on_both_paths(monkeypatch):
+    lams = [lam for n in range(25) for lam in partitions(n)]
+    expected = [valuation(degree(lam)) for lam in lams]
+
+    def refuse(*args):
+        raise AssertionError("the parity oracle took the other path")
+
+    # Ascending n: every tail is decided first, so each partition takes the
+    # first-row step; the closed form is the oracle's only caller of enumerate.
+    characters._nu2_degree.clear()
+    assert characters._two_adic_degree((), 0) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "enumerate", refuse, raising=False)
+        got = [characters._two_adic_degree(lam.parts, lam.n) for lam in lams[1:]]
+    assert got == expected[1:]
+    # Descending n from an empty cache: no tail is known yet, so each partition
+    # takes the closed form; the step is the oracle's only caller of sub.
+    characters._nu2_degree.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "sub", refuse)
+        got = [characters._two_adic_degree(lam.parts, lam.n) for lam in reversed(lams)]
+    assert got[::-1] == expected
+
+
+def test_parity_oracle_on_long_partitions():
+    assert is_odd_partition(Partition((1,) * 20000))
+    n = 2000
+    hooks = [HookPartition(n, leg).to_partition() for leg in range(n)]
+    expected = [math.comb(n - 1, leg) % 2 == 1 for leg in range(n)]
+    # decide the columns (1^leg) first, so that each hook takes the first-row
+    # step from its tail; the closed form would cost O(leg^2) per hook here
+    characters._nu2_degree.clear()
+    for leg in range(1, n):
+        assert is_odd_partition(HookPartition(leg, leg - 1).to_partition())
+    assert [is_odd_partition(lam) for lam in hooks] == expected
+
+
+def test_census_returns_a_fresh_list():
+    census = odd_partitions(10)
+    expected = list(census)
+    census.pop()
+    census.append(Partition((2, 2)))
+    assert odd_partitions(10) == expected
 
 
 def test_odd_census_matches_hook_strip_criterion():
@@ -182,6 +252,15 @@ def test_branch_examples():
     assert branch_restrict(Partition((6,))) == [Partition((5,))]
     assert branch_restrict(Partition((2, 2, 1))) == [Partition((2, 2)), Partition((2, 1, 1))]
     assert branch_restrict(Partition((1,))) == [Partition()]
+
+
+def test_branch_restrict_matches_row_copy():
+    for n in range(1, 15):
+        for lam in partitions(n):
+            children = branch_restrict(lam)
+            reference = branch_by_row_copy(lam)
+            assert [mu.parts for mu in children] == [mu.parts for mu in reference], lam
+            assert all(mu.n == n - 1 for mu in children), lam
 
 
 def test_branching_degree_consistency():

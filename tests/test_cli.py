@@ -213,6 +213,16 @@ def test_wreath_and_young(capsys):
     assert run_cli("wreath-star", "4,1,1", "--k", "3", "--t", "2") == 2
 
 
+def test_wreath_star_refuses_a_huge_even_index():
+    # the index (10^6)! / (1000!^1000 * 1000!) is decided without forming it
+    argv = ["wreath-star", "--k", "1000", "--t", "1000", "1000000"]
+    out = subprocess.run(
+        [sys.executable, "-m", "oddchar.cli", *argv], capture_output=True, timeout=30
+    )
+    assert out.returncode == 2 and out.stdout == b""
+    assert b"S_1000 wr S_1000 does not have odd index in S_1000000" in out.stderr
+
+
 def test_verify_command(capsys):
     code, payload = run_cli_json(capsys, "verify", "sn-star", "--max-n", "8")
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -278,12 +280,22 @@ def test_s7_young_restriction_counterexample():
 
 # ---------------------------------------------------------------- theorem D
 
+def wreath_index_is_odd_by_factorials(k, t):
+    """Reference parity: divide (kt)! by k!^t t! exactly."""
+    index, rem = divmod(math.factorial(k * t), math.factorial(k) ** t * math.factorial(t))
+    assert rem == 0
+    return index % 2 == 1
+
+
 def test_wreath_index_parity():
     assert wreath_index_is_odd(2, 2)
     assert not wreath_index_is_odd(3, 2)
     assert wreath_index_is_odd(2, 3)
     assert wreath_index_is_odd(4, 2)
     assert wreath_index_is_odd(2, 4)
+    for k in range(1, 65):
+        for t in range(1, 64 // k + 1):
+            assert wreath_index_is_odd(k, t) == wreath_index_is_odd_by_factorials(k, t), (k, t)
 
 
 def test_theorem_d_examples():
