@@ -27,14 +27,13 @@ form above is used, so the step never walks a chain of tails. The census
 odd_partitions(n) decides every partition of n, so a census filled for
 ascending n takes the step on all of them.
 
-The correspondences strip rim hooks, which partitions.rim_hooks_of_length
-finds on the same b_i; the parity oracle computes its own b_i and calls no
-rim-hook code, so a fault there cannot hide in the census it checks.
+The parity oracle computes its own b_i and calls no rim-hook code; nor do
+alpha_sn and the hook attachment, which move their own b_i.
 """
 
 import math
 from functools import cache
-from operator import sub
+from operator import lt, sub
 
 from .errors import DomainError
 from .partitions import Partition, _partition_tuples, conjugate_parts, rim_hooks_of_length
@@ -166,39 +165,35 @@ def lr_coefficient(alpha, beta, gamma):
     whose reverse reading word is a lattice word. Returns 0 when the sizes or
     diagrams are incompatible.
     """
-    if alpha.n + beta.n != gamma.n or not gamma.contains(alpha):
+    outer, inner = gamma.parts, alpha.parts
+    if alpha.n + beta.n != gamma.n or len(inner) > len(outer) or any(map(lt, outer, inner)):
         return 0
-    if beta.n == 0:
+    # The cells of gamma/alpha in reverse reading order (rows downward, each
+    # right to left), as the positions of their right and upper neighbours;
+    # -1 (none) reads the last slot of value, which stays 0. Cell (r - 1, c)
+    # is at above - c, and none is above row 1.
+    right, up = [], []
+    above, low = 0, gamma.n
+    for width, row_low in zip(outer, inner + (0,) * len(outer)):
+        cut, low = low, row_low
+        for c in range(width, low, -1):
+            right.append(len(right) - 1 if c < width else -1)
+            up.append(above - c if c > cut else -1)
+        above = len(right) + low
+    counts = [len(right)] + [0] * len(beta.parts)  # counts[0] lets v = 1 pass
+    return _lr_fillings(0, right, up, [0] * (len(right) + 1), counts, (0,) + beta.parts)
+
+
+def _lr_fillings(pos, right, up, value, counts, cap):
+    """Lattice fillings of the cells from pos on, given those before."""
+    if pos == len(right):
         return 1
-    nrows = len(gamma.parts)
-    content = list(beta.parts)
-    m = len(content)
-    # cells in reverse reading order: rows top to bottom, right to left
-    cells = [
-        (r, c)
-        for r in range(1, nrows + 1)
-        for c in range(gamma.row(r), alpha.row(r), -1)
-    ]
-    filling = {}
-    counts = [0] * (m + 1)
-
-    def backtrack(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        right = filling.get((r, c + 1), m)  # row weakly increases to the right
-        above = filling.get((r - 1, c), 0)  # column strictly increases downward
-        total = 0
-        for v in range(above + 1, right + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
+    total = 0
+    # a column strictly increases downward, a row weakly to the right
+    for v in range(value[up[pos]] + 1, (value[right[pos]] or len(cap) - 1) + 1):
+        if counts[v] < cap[v] and counts[v] < counts[v - 1]:
             counts[v] += 1
-            filling[(r, c)] = v
-            total += backtrack(pos + 1)
-            del filling[(r, c)]
+            value[pos] = v
+            total += _lr_fillings(pos + 1, right, up, value, counts, cap)
             counts[v] -= 1
-        return total
-
-    return backtrack(0)
+    return total

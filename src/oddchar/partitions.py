@@ -2,14 +2,6 @@
 
 Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call from parallel sweeps.
-
-Partitions are validated where they enter: the public Partition(...)
-constructor, Partition.from_json and the CLI parser (which calls the
-constructor). Internal builders whose output is a partition by construction
-(partitions(), conjugate(), rim-hook remainders, branch_restrict and the
-character caches) build it with the private, unchecked Value._trusted, as
-Partition._trusted(parts, n); it is internal-only and never sees user data.
-Labels follow the same rule through the same classmethod.
 """
 
 import math
@@ -43,11 +35,10 @@ class Value:
     hashes its field tuple, prints as Name(field=value, ...) and pickles and
     copies through _trusted.
 
-    The classmethod _trusted(cls, *fields) is internal: it builds an instance
-    from field values known to be valid, unchecked, and raises TypeError on a
-    wrong number of fields. Only builders whose output is valid by
-    construction call it; public constructors, from_json and the CLI parser
-    keep every check.
+    The internal classmethod _trusted(cls, *fields) builds an instance
+    unchecked, for builders whose output is valid by construction; a wrong
+    number of fields raises TypeError. Values are validated where they enter:
+    public constructors, from_json and the CLI parser keep every check.
     """
 
     __slots__ = ()
@@ -55,10 +46,8 @@ class Value:
     def __init_subclass__(cls):
         fields = cls.__slots__
         cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        # _trusted, __eq__ and __hash__ are compiled per class in one exec:
-        # through a generic loop over the setters or getattr they took about
-        # twice as long, and the sweeps build and compare tens of thousands of
-        # values.
+        # _trusted, __eq__ and __hash__ are compiled per class in one exec: a
+        # generic loop over the setters or getattr took about twice as long.
         scope = {"new": object.__new__}
         scope.update((f"set_{name}", setter) for name, setter in zip(fields, cls._setters))
         source = (
@@ -369,39 +358,31 @@ def m_core(lam, m):
         cur = hooks[0][2]
 
 
-def _attach_first_row(alpha, k, h):
-    """Attach a rim hook spanning rows 1..h whose removal leaves alpha."""
-    parts = [alpha.row(h) + k]
-    parts.extend(alpha.row(t - 1) + 1 for t in range(2, h + 1))
-    parts.extend(alpha.parts[h:])
-    return Partition(parts)
+def _attach_parts(parts, k, h):
+    """Lemma 4.2 on tuples: attach a rim hook of k columns and h rows to parts."""
+    flip = len(parts) < h and parts and k <= parts[0]
+    if flip:
+        parts, k, h = conjugate_parts(parts), h, k
+    rows = parts + (0,) * h  # rows 2..h of the hook lie right of rows 1..h-1
+    gamma = (rows[h - 1] + k, *[p + 1 for p in rows[: h - 1]], *parts[h:])
+    return conjugate_parts(gamma) if flip else gamma
 
 
 def attach_unique_gamma(alpha, beta, n):
     """The unique gamma of n with a removable rim hook of type beta leaving alpha.
 
     Requires m <= n <= 2m-1 for m = beta.m, which forces the hook corner into
-    the first row or first column; the three construction cases follow the
-    geometry of the outer rim of alpha.
+    the first row or first column.
     """
     m = beta.m
     if not m <= n <= 2 * m - 1:
         raise DomainError(f"need m <= n <= 2m-1, got m={m}, n={n}")
     if alpha.n != n - m:
         raise DomainError(f"alpha must have size n-m={n - m}, got {alpha.n}")
-    k = beta.arm_count
-    h = m - k + 1
-    r = len(alpha.parts)
-    if h <= r or k > alpha.row(1):
-        # hook corner in the first row (covers alpha = () as well)
-        gamma = _attach_first_row(alpha, k, h)
-    else:
-        # corner in the first column: conjugate reduces to the first-row case
-        conj_beta = HookPartition(m, k - 1)
-        gamma = attach_unique_gamma(alpha.conjugate(), conj_beta, n).conjugate()
-    if gamma.n != n:
+    gamma = _attach_parts(alpha.parts, beta.arm_count, beta.leg + 1)
+    if sum(gamma) != n:
         raise TheoremViolationError(f"attachment produced wrong size for {alpha}, {beta}")
-    return gamma
+    return Partition._trusted(gamma, n)
 
 
 @cache

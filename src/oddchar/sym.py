@@ -20,11 +20,10 @@ from .partitions import (
     HookPartition,
     Partition,
     Value,
-    attach_unique_gamma,
+    _attach_parts,
     check_two_adic_layout,
     nu2,
     odd_multinomial_order,
-    rim_hooks_of_length,
     split_by_digit,
     two_adic,
 )
@@ -125,7 +124,7 @@ class WreathOddLabel(Value):
     t_i.
     """
 
-    __slots__ = ("k", "t", "base", "top")  # base: (Partition of k, t_i); top: Partition of t_i
+    __slots__ = ("k", "t", "base", "top")
 
     def _validate(self):
         if sum(t for _, t in self.base) != self.t:
@@ -167,39 +166,54 @@ def star_sn(lam):
 
 
 def alpha_sn(lam):
-    """Strip the unique rim hook of each 2-power block size, largest first."""
+    """Strip the unique rim hook of each 2-power block size, largest first.
+
+    It moves beads, the first-column hook lengths, as rim_hooks_of_length does.
+    """
     if not is_odd_partition(lam):
         raise DomainError(f"{lam} is not an odd partition")
+    length = len(lam.parts)
+    beads = [p + length - i for i, p in enumerate(lam.parts, 1)]
+    occupied = set(beads)
     hooks = []
-    cur = lam
     for e in two_adic(lam.n):
-        found = rim_hooks_of_length(cur, 1 << e)
+        m = 1 << e
+        found = [b for b in beads if b >= m and b - m not in occupied]
         if len(found) != 1:
             raise TheoremViolationError(
-                f"{cur} has {len(found)} rim hooks of length {1 << e}"
+                f"{_bead_partition(beads)} has {len(found)} rim hooks of length {m}"
             )
-        _, hook_type, cur = found[0]
-        hooks.append(hook_type)
-    if cur.n != 0:
-        raise TheoremViolationError(f"nonempty remainder {cur} after stripping {lam}")
+        b = found[0]
+        leg = len(occupied.intersection(range(b - m + 1, b)))
+        hooks.append(HookPartition._trusted(m, leg))
+        beads[beads.index(b)] = b - m
+        occupied.remove(b)
+        occupied.add(b - m)
+    if any(b >= length for b in beads):  # beads 0..l-1 are the empty partition
+        raise TheoremViolationError(
+            f"nonempty remainder {_bead_partition(beads)} after stripping {lam}"
+        )
     return ThetaLabel._trusted(tuple(hooks))
+
+
+def _bead_partition(beads):
+    rows = tuple([b - j for j, b in enumerate(sorted(beads)) if b > j][::-1])
+    return Partition._trusted(rows, sum(rows))
 
 
 def alpha_sn_inverse(theta):
     """Reattach hooks from the smallest block upward; inverse of alpha_sn."""
-    cur = Partition._trusted((), 0)
+    parts = ()
     for hook in reversed(theta.hooks):
-        cur = attach_unique_gamma(cur, hook, cur.n + hook.m)
+        parts = _attach_parts(parts, hook.arm_count, hook.leg + 1)
+    cur = Partition._trusted(parts, theta.n)
     if not is_odd_partition(cur):
         raise TheoremViolationError(f"reattachment of {theta} is not odd: {cur}")
     return cur
 
 
 def hook_to_bits(exponent, leg):
-    """Tower-level bits of the hook with the given leg in H(2**exponent).
-
-    Reflected Gray code of the leg, highest Gray bit at the pair level.
-    """
+    """Tower-level bits of the hook with the given leg in H(2**exponent)."""
     if not 0 <= leg < 1 << exponent:
         raise DomainError(f"leg {leg} out of range for block 2^{exponent}")
     gray = leg ^ (leg >> 1)
@@ -288,7 +302,7 @@ def theorem_d_star(lam, k, t):
     if not wreath_index_is_odd(k, t):
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{n}")
     if t == 1:
-        return WreathOddLabel(k, 1, ((lam, 1),), (Partition((1,)),))
+        return WreathOddLabel(k, 1, ((lam, 1),), (Partition._trusted((1,), 1),))
     if k & (k - 1):
         raise TheoremViolationError(f"odd index with t >= 2 forces a 2-power k, got {k}")
     c = k.bit_length() - 1
@@ -306,7 +320,7 @@ def theorem_d_star(lam, k, t):
         if c:
             psi = sharp_sn_inverse(SylowLinearLabel(((k, base_bits),)))
         else:
-            psi = Partition((1,))
+            psi = Partition._trusted((1,), 1)
         alpha = sharp_sn_inverse(
             SylowLinearLabel(tuple((1 << e, bits) for e, bits in members))
         )

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import math
 from itertools import combinations
@@ -66,6 +67,45 @@ def branch_by_row_copy(lam):
             row[i] -= 1
             out.append(Partition(tuple(x for x in row if x > 0)))
     return out
+
+
+def lr_by_recursion(alpha, beta, gamma):
+    """Reference LR count: the recursive backtrack over a dict of filled cells."""
+    if alpha.n + beta.n != gamma.n or not gamma.contains(alpha):
+        return 0
+    if beta.n == 0:
+        return 1
+    content = list(beta.parts)
+    m = len(content)
+    # cells in reverse reading order: rows top to bottom, right to left
+    cells = [
+        (r, c)
+        for r in range(1, len(gamma.parts) + 1)
+        for c in range(gamma.row(r), alpha.row(r), -1)
+    ]
+    filling = {}
+    counts = [0] * (m + 1)
+
+    def backtrack(pos):
+        if pos == len(cells):
+            return 1
+        r, c = cells[pos]
+        right = filling.get((r, c + 1), m)  # row weakly increases to the right
+        above = filling.get((r - 1, c), 0)  # column strictly increases downward
+        total = 0
+        for v in range(above + 1, right + 1):
+            if counts[v] >= content[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            counts[v] += 1
+            filling[(r, c)] = v
+            total += backtrack(pos + 1)
+            del filling[(r, c)]
+            counts[v] -= 1
+        return total
+
+    return backtrack(0)
 
 
 def valuation(d):
@@ -331,3 +371,39 @@ def test_lr_degree_identity_per_split():
                     for beta in partitions(n - a)
                 )
                 assert total == degree(gamma), (gamma, a)
+
+
+def test_lr_matches_recursive_reference():
+    triples = total = 0
+    for n in range(9):
+        for gamma in partitions(n):
+            for a in range(n + 1):
+                for alpha in partitions(a):
+                    for beta in partitions(n - a):
+                        c = lr_coefficient(alpha, beta, gamma)
+                        assert c == lr_by_recursion(alpha, beta, gamma), (alpha, beta, gamma)
+                        triples += 1
+                        total += c
+    assert (triples, total) == (6830, 1351)
+    # incompatible sizes and diagrams give 0 on both
+    for shapes in [((2,), (1,), (2, 1, 1)), ((3,), (1,), (2, 2)), ((1, 1, 1), (), (2, 1))]:
+        args = tuple(Partition(parts) for parts in shapes)
+        assert lr_coefficient(*args) == lr_by_recursion(*args) == 0, args
+
+
+def test_lr_leaves_no_reference_cycles():
+    shapes = [
+        (alpha, beta.to_partition(), gamma)
+        for n in range(1, 11)
+        for gamma in partitions(n)
+        for m in range(1, n + 1)
+        for _, beta, alpha in rim_hooks_of_length(gamma, m)
+    ][:1000]
+    assert len(shapes) == 1000
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(lr_coefficient(*shape) == 1 for shape in shapes)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -101,6 +101,17 @@ def rim_hooks_by_cell_scan(lam, m):
     return out
 
 
+def attach_by_row_copy(alpha, beta):
+    """Reference Lemma 4.2 attachment: copy rows for a first-row corner, else conjugate."""
+    k, h = beta.arm_count, beta.leg + 1
+    if h <= len(alpha.parts) or k > alpha.row(1):
+        parts = [alpha.row(h) + k]
+        parts.extend(alpha.row(t - 1) + 1 for t in range(2, h + 1))
+        parts.extend(alpha.parts[h:])
+        return Partition(parts)
+    return attach_by_row_copy(alpha.conjugate(), HookPartition(beta.m, k - 1)).conjugate()
+
+
 PASCAL = pascal_parity(64)
 
 
@@ -446,8 +457,12 @@ def test_attach_examples():
     assert attach_unique_gamma(Partition((1,)), HookPartition(4, 2), 5) == Partition((2, 2, 1))
     assert attach_unique_gamma(Partition(), HookPartition(5, 3), 5) == Partition((2, 1, 1, 1))
     assert attach_unique_gamma(Partition((1,)), HookPartition(2, 0), 3) == Partition((3,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         attach_unique_gamma(Partition((3,)), HookPartition(2, 0), 5)  # n > 2m-1
+    assert str(err.value) == "need m <= n <= 2m-1, got m=2, n=5"
+    with pytest.raises(DomainError) as err:
+        attach_unique_gamma(Partition((2,)), HookPartition(4, 1), 5)
+    assert str(err.value) == "alpha must have size n-m=1, got 2"
 
 
 def test_attach_unique_by_census():
@@ -470,6 +485,17 @@ def test_attach_unique_by_census():
                         if typ == beta and rest == alpha
                     ]
                     assert len(back) == 1
+
+
+def test_attach_matches_row_copy():
+    for m in range(1, 17):
+        for n in range(m, 2 * m):
+            for alpha in partitions(n - m):
+                for leg in range(m):
+                    beta = HookPartition(m, leg)
+                    gamma = attach_unique_gamma(alpha, beta, n)
+                    reference = attach_by_row_copy(alpha, beta)
+                    assert (gamma.parts, gamma.n) == (reference.parts, n), (alpha, beta, n)
 
 
 @settings(max_examples=60, deadline=None)

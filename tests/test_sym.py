@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -5,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from oddchar.errors import DomainError, TheoremViolationError
 from oddchar.characters import branch_restrict, is_odd_partition, odd_partitions
-from oddchar.partitions import HookPartition, Partition, partitions, two_adic
+from oddchar import characters, sym
+from oddchar.partitions import (
+    HookPartition,
+    Partition,
+    attach_unique_gamma,
+    partitions,
+    rim_hooks_of_length,
+    two_adic,
+)
 from oddchar.permgroups import restriction_multiplicities, sylow2_subgroup
 from oddchar.sym import (
     SylowLinearLabel,
@@ -94,6 +103,80 @@ def _all_thetas(sizes):
         for leg in range(sizes[0]):
             out.add(ThetaLabel((HookPartition(sizes[0], leg),) + theta.hooks))
     return out
+
+
+def alpha_by_rim_hooks(lam):
+    """Reference alpha: strip the one rim hook of each 2-power block, largest first."""
+    hooks = []
+    for e in two_adic(lam.n):
+        (_, hook, lam), = rim_hooks_of_length(lam, 1 << e)
+        hooks.append(hook)
+    assert lam.n == 0
+    return ThetaLabel(tuple(hooks))
+
+
+def test_alpha_matches_rim_hook_strip():
+    for n in range(41):
+        for lam in odd_partitions(n):
+            theta = alpha_sn(lam)
+            assert theta == alpha_by_rim_hooks(lam), lam
+            assert alpha_sn_inverse(theta) == lam
+
+
+def test_alpha_error_messages(monkeypatch):
+    def message(error, fn, *args):
+        with pytest.raises(error) as err:
+            fn(*args)
+        return str(err.value)
+
+    assert message(DomainError, alpha_sn, Partition((2, 2))) == (
+        "Partition(2, 2) is not an odd partition"
+    )
+    # the theorem checks can only fail against a broken oracle or block layout
+    monkeypatch.setattr(sym, "is_odd_partition", lambda lam: True)
+    for parts, expected in [
+        ((2, 2), "Partition(2, 2) has 0 rim hooks of length 4"),
+        ((3, 2, 1), "Partition(3, 2, 1) has 0 rim hooks of length 4"),
+        ((4, 3, 1), "Partition(4, 3, 1) has 0 rim hooks of length 8"),
+    ]:
+        assert message(TheoremViolationError, alpha_sn, Partition(parts)) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(sym, "two_adic", lambda n: (1,))
+        assert message(TheoremViolationError, alpha_sn, Partition((2, 2))) == (
+            "Partition(2, 2) has 2 rim hooks of length 2"
+        )
+        patch.setattr(sym, "two_adic", lambda n: (2,))
+        assert message(TheoremViolationError, alpha_sn, Partition((3, 2))) == (
+            "nonempty remainder Partition(1,) after stripping Partition(3, 2)"
+        )
+    monkeypatch.setattr(sym, "is_odd_partition", lambda lam: False)
+    theta = ThetaLabel((HookPartition(4, 2), HookPartition(1, 0)))
+    assert message(TheoremViolationError, alpha_sn_inverse, theta) == (
+        "reattachment of ThetaLabel(hooks=(HookPartition(m=4, leg=2), HookPartition(m=1, leg=0)))"
+        " is not odd: Partition(2, 2, 1)"
+    )
+
+
+def test_hook_maps_need_no_rim_hooks(monkeypatch):
+    census = odd_partitions(12)
+    thetas = [alpha_by_rim_hooks(lam) for lam in census]
+    sharps = [sharp_sn(lam) for lam in census]
+
+    def refuse(lam, m):
+        raise AssertionError("a hook map called rim_hooks_of_length")
+
+    # the package attribute oddchar.partitions is the function; this is the module
+    monkeypatch.setattr(importlib.import_module("oddchar.partitions"), "rim_hooks_of_length", refuse)
+    monkeypatch.setattr(characters, "rim_hooks_of_length", refuse)
+    monkeypatch.setattr(sym, "rim_hooks_of_length", refuse, raising=False)
+    assert [alpha_sn(lam) for lam in census] == thetas
+    assert [alpha_sn_inverse(theta) for theta in thetas] == census
+    assert [sharp_sn(lam) for lam in census] == sharps
+    for lam, theta in zip(census, thetas):
+        cur = Partition()
+        for hook in reversed(theta.hooks):
+            cur = attach_unique_gamma(cur, hook, cur.n + hook.m)
+        assert cur == lam
 
 
 def test_alpha_inverse_enumeration_n6():
