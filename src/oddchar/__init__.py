@@ -54,11 +54,14 @@ _HOMES = {
         "WreathOddLabel",
         "alpha_sn",
         "alpha_sn_inverse",
+        "bits_to_hook",
         "count_odd_irr_sn",
+        "hook_to_bits",
         "sharp_sn",
         "sharp_sn_inverse",
         "star_sn",
         "theorem_d_star",
+        "wreath_index_is_odd",
         "wreath_odd_labels",
         "young_star",
     ),
@@ -69,6 +72,7 @@ _HOMES = {
         "count_odd_irr_gl",
         "enumerate_odd_labels",
         "is_odd_label",
+        "is_prime_power_odd",
         "levi_star",
         "odd_label_count",
         "parabolic_star",

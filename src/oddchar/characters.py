@@ -89,10 +89,13 @@ def _two_adic_degree(parts, n):
         length = len(shape)
         beta = [p + length - i for i, p in enumerate(shape, 1)]
         nu = n - n.bit_count() - sum([b - b.bit_count() for b in beta])
-        for i, b in enumerate(beta):
-            for c in beta[i + 1 :]:
-                gap = b - c
-                nu += (gap & -gap).bit_length() - 1
+        # sum_{i<k} nu2(b_i - b_k) counts, for each j >= 1, the pairs that
+        # agree mod 2^j: split the b_i on one more low bit per round
+        groups = [beta]
+        while groups:
+            halves = [[b >> 1 for b in g if b & 1 == bit] for g in groups for bit in (0, 1)]
+            groups = [half for half in halves if len(half) > 1]
+            nu += sum([len(half) * (len(half) - 1) // 2 for half in groups])
     _nu2_degree[parts] = nu
     return nu
 

@@ -220,14 +220,9 @@ def run(argv):
             raise DomainError(
                 f"unknown suite {args.suite!r}; known suites: {', '.join(sorted(SUITES))}"
             )
-        kwargs = {"jobs": args.jobs}
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
-        if args.q is not None:
-            kwargs["qs"] = tuple(parse_int_list(args.q))
-        if args.kappa is not None:
-            kwargs["kappas"] = tuple(k for k in args.kappa.split(",") if k)
-        report = run_suite(args.suite, **kwargs)
+        qs = None if args.q is None else tuple(parse_int_list(args.q))
+        kappas = None if args.kappa is None else tuple(k for k in args.kappa.split(",") if k)
+        report = run_suite(args.suite, max_n=args.max_n, qs=qs, kappas=kappas, jobs=args.jobs)
         if report.checks == 0:
             raise DomainError(f"verify {args.suite} checked nothing with these parameters")
         emit(report.to_json())

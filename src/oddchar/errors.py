@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+__all__ = ["OddcharError", "DomainError", "TheoremViolationError", "EnumerationCapError"]
+
 
 class OddcharError(Exception):
     """Base class for all library errors."""

@@ -173,20 +173,23 @@ def alpha_sn(lam):
     if not is_odd_partition(lam):
         raise DomainError(f"{lam} is not an odd partition")
     length = len(lam.parts)
-    beads = [p + length - i for i, p in enumerate(lam.parts, 1)]
+    beads = [p + length - i for i, p in enumerate(lam.parts, 1)]  # descending
     occupied = set(beads)
     hooks = []
     for e in two_adic(lam.n):
         m = 1 << e
-        found = [b for b in beads if b >= m and b - m not in occupied]
+        found = [i for i, b in enumerate(beads) if b >= m and b - m not in occupied]
         if len(found) != 1:
             raise TheoremViolationError(
                 f"{_bead_partition(beads)} has {len(found)} rim hooks of length {m}"
             )
-        b = found[0]
-        leg = len(occupied.intersection(range(b - m + 1, b)))
-        hooks.append(HookPartition._trusted(m, leg))
-        beads[beads.index(b)] = b - m
+        i = j = found[0]
+        b = beads[i]
+        while j + 1 < length and beads[j + 1] > b - m:  # the leg: beads strictly between
+            j += 1
+        hooks.append(HookPartition._trusted(m, j - i))
+        del beads[i]
+        beads.insert(j, b - m)  # keeps the list descending
         occupied.remove(b)
         occupied.add(b - m)
     if any(b >= length for b in beads):  # beads 0..l-1 are the empty partition

@@ -113,6 +113,17 @@ def valuation(d):
     return (d & -d).bit_length() - 1
 
 
+def nu2_by_pairs(parts):
+    """nu2(f^lam) from the hook-length formula, one pair of first-column hook lengths at a time."""
+    length, n = len(parts), sum(parts)
+    beta = [p + length - i for i, p in enumerate(parts, 1)]
+    nu = n - n.bit_count() - sum(b - b.bit_count() for b in beta)
+    for i, b in enumerate(beta):
+        for c in beta[i + 1 :]:
+            nu += valuation(b - c)
+    return nu
+
+
 # ---------------------------------------------------------------- degree
 
 def test_degree_examples():
@@ -202,15 +213,15 @@ def test_two_adic_degree_is_exact_on_both_paths(monkeypatch):
 
 def test_parity_oracle_on_long_partitions():
     assert is_odd_partition(Partition((1,) * 20000))
+    # each hook from an empty cache: no tail is known, so each takes the closed form
     n = 2000
-    hooks = [HookPartition(n, leg).to_partition() for leg in range(n)]
-    expected = [math.comb(n - 1, leg) % 2 == 1 for leg in range(n)]
-    # decide the columns (1^leg) first, so that each hook takes the first-row
-    # step from its tail; the closed form would cost O(leg^2) per hook here
-    characters._nu2_degree.clear()
-    for leg in range(1, n):
-        assert is_odd_partition(HookPartition(leg, leg - 1).to_partition())
-    assert [is_odd_partition(lam) for lam in hooks] == expected
+    for leg in range(0, n, 10):
+        characters._nu2_degree.clear()
+        lam = HookPartition(n, leg).to_partition()
+        assert is_odd_partition(lam) == (math.comb(n - 1, leg) % 2 == 1), leg
+    for parts in (tuple(range(300, 0, -1)), (300,) * 3 + (1,) * 500, (7,) * 200 + (2,) * 90):
+        characters._nu2_degree.clear()
+        assert characters._two_adic_degree(parts, sum(parts)) == nu2_by_pairs(parts)
 
 
 def test_census_returns_a_fresh_list():

@@ -223,6 +223,18 @@ def test_wreath_star_refuses_a_huge_even_index():
     assert b"S_1000 wr S_1000 does not have odd index in S_1000000" in out.stderr
 
 
+def test_sharp_answers_a_huge_one_row_partition():
+    # each hook of the row is stripped by its bead alone, not cell by cell
+    n = 99999999999999999999
+    out = subprocess.run(
+        [sys.executable, "-m", "oddchar.cli", "sharp", str(n)], capture_output=True, timeout=30
+    )
+    assert out.returncode == 0 and out.stderr == b""
+    digits = [e for e in reversed(range(n.bit_length())) if n >> e & 1]
+    expected = [{"bits": [0] * e, "size": 1 << e} for e in digits]
+    assert json.loads(out.stdout) == {"label": expected}
+
+
 def test_verify_command(capsys):
     code, payload = run_cli_json(capsys, "verify", "sn-star", "--max-n", "8")
     assert code == 0
@@ -270,6 +282,11 @@ def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
         assert "1000002 labels" in captured.err
 
 
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a CLI call started a process pool")
+
+
 @pytest.mark.parametrize(
     "suite, max_n, message",
     [
@@ -279,21 +296,31 @@ def test_enumeration_cap_has_own_exit_code(capsys, monkeypatch):
             "8",
             "110592 labels of rank 7 x 10 actions = 1105920 checks > cap 200000",
         ),
+        ("sharp-oracle", "20", "Sylow 2-subgroup of degree 20 has order 262144 > cap 200000"),
     ],
 )
-def test_label_sweeps_bound_the_whole_grid_first(capsys, suite, max_n, message):
-    # only the grid's last items pass the cap, and none of the earlier ones may run first
-    start = time.perf_counter()
-    assert run_cli("verify", suite, "--max-n", max_n, "--q", "25") == 4
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"enumeration cap: {message}\n"
+def test_label_sweeps_bound_the_whole_grid_first(capsys, monkeypatch, suite, max_n, message):
+    # only the grid's last items pass the cap, and none of the earlier ones may
+    # run first, in this process or in a worker pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    qs = [] if suite == "sharp-oracle" else ["--q", "25"]
+    for jobs in ("1", "2"):
+        start = time.perf_counter()
+        assert run_cli("verify", suite, "--max-n", max_n, *qs, "--jobs", jobs) == 4
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"enumeration cap: {message}\n"
 
 
 def test_default_and_benchmark_label_grids_stay_under_the_cap(monkeypatch):
-    # the bound runs before _sweep, so a stubbed _sweep checks only the bound
-    monkeypatch.setattr(verify, "_sweep", lambda report, items, check, jobs: report)
+    # a stubbed _sweep runs only the bound
+    def bound_only(suite, params, items, check, jobs, bound=None):
+        for item in items:
+            bound(item)
+
+    monkeypatch.setattr(verify, "_sweep", bound_only)
     for suite in ("gl-counts", "omega-bij", "galois-equivariance", "corollaryF"):
         run_suite(suite)
     # the benchmark's labels grid
@@ -403,11 +430,6 @@ def _command_argv(command):
 
 
 _ARGV = st.sampled_from(sorted(_REQUIRED)).flatmap(_command_argv)
-
-
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a CLI call started a process pool")
 
 
 def test_argv_fuzz_keeps_the_exit_code_contract(monkeypatch):
@@ -552,23 +574,6 @@ def test_cli_loads_only_the_modules_a_command_runs():
     assert "oddchar.verify" in loaded and not loaded & HEAVY
 
 
-# Every name the package exported when it imported all its modules eagerly, by home module.
-EXPORTS = {
-    "errors": "DomainError EnumerationCapError OddcharError TheoremViolationError",
-    "partitions": "HookPartition Partition RimHook attach_unique_gamma binom_is_odd m_core nu2 "
-    "odd_multinomial_order partitions rim_hooks_of_length two_adic unique_descent",
-    "characters": "CycleType branch_restrict class_size degree is_odd_partition lr_coefficient "
-    "mn_value odd_partitions",
-    "permgroups": "restriction_multiplicities sylow2_subgroup",
-    "sym": "SylowLinearLabel ThetaLabel WreathOddLabel alpha_sn alpha_sn_inverse count_odd_irr_sn "
-    "sharp_sn sharp_sn_inverse star_sn theorem_d_star wreath_odd_labels young_star",
-    "glu": "GLabel ParabolicCorrespondent canonical_order count_odd_irr_gl enumerate_odd_labels "
-    "is_odd_label levi_star parabolic_star sl_correspondence_data sl_label_census",
-    "omega": "NormalizerLocalLabel OmegaLabel count_real_odd enumerate_omega_labels galois_act "
-    "local_to_omega omega_to_local outer_act sharp_glu sharp_glu_inverse",
-}
-
-
 def test_lazy_namespace_keeps_every_export():
     code = """
 import contextlib, importlib, io, json, sys
@@ -585,19 +590,21 @@ function_after_cli = oddchar.partitions is sys.modules["oddchar.partitions"].par
 listed = dir(oddchar)
 missing = [
     name
-    for home, names in json.loads(sys.argv[1]).items()
-    for name in names.split()
+    for home in ["errors", "partitions", *oddchar._HOMES]
+    for name in importlib.import_module("oddchar." + home).__all__
     if name not in listed
     or getattr(oddchar, name) is not getattr(importlib.import_module("oddchar." + home), name)
 ]
 print(json.dumps([function_after_import, function_after_cli, missing]))
 """
-    argv = [sys.executable, "-c", code, json.dumps(EXPORTS)]
-    out = subprocess.run(argv, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == [True, True, []]
+    # each lazily loaded module exports exactly its own __all__
+    for home, names in oddchar._HOMES.items():
+        assert set(names) == set(importlib.import_module("oddchar." + home).__all__), home
     namespace = {}
     exec("from oddchar import *", namespace)
-    assert {name for names in EXPORTS.values() for name in names.split()} <= namespace.keys()
+    assert set(oddchar._HOME_OF) <= namespace.keys()
     with pytest.raises(AttributeError):
         oddchar.no_such_name
 
