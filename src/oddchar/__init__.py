@@ -19,7 +19,6 @@ from .errors import DomainError, EnumerationCapError, OddcharError, TheoremViola
 from .partitions import (
     HookPartition,
     Partition,
-    RimHook,
     attach_unique_gamma,
     binom_is_odd,
     m_core,
@@ -35,7 +34,6 @@ from .partitions import (
 # (and what that imports) on first use, so a command pays only for what it runs.
 _HOMES = {
     "characters": (
-        "CycleType",
         "branch_restrict",
         "class_size",
         "degree",

@@ -39,7 +39,6 @@ from .errors import DomainError
 from .partitions import Partition, _partition_tuples, conjugate_parts, rim_hooks_of_length
 
 __all__ = [
-    "CycleType",
     "degree",
     "is_odd_partition",
     "odd_partitions",
@@ -48,10 +47,6 @@ __all__ = [
     "lr_coefficient",
     "class_size",
 ]
-
-# A cycle type is just a partition read as the multiset of cycle lengths.
-CycleType = Partition
-
 
 @cache
 def _degree(parts):
@@ -125,8 +120,8 @@ def _mn(lam_parts, mu_parts):
     lam = Partition._trusted(lam_parts, sum(lam_parts))
     c, rest = mu_parts[0], mu_parts[1:]
     total = 0
-    for hook, _, remainder in rim_hooks_of_length(lam, c):
-        total += (-1) ** (hook.rows_spanned - 1) * _mn(remainder.parts, rest)
+    for hook, remainder in rim_hooks_of_length(lam, c):
+        total += (-1) ** hook.leg * _mn(remainder.parts, rest)
     return total
 
 

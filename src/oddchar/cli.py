@@ -5,14 +5,16 @@ failures, 2 usage or domain error (including a verify sweep that checks
 nothing), 3 violated uniqueness/existence guarantee (never happens on a
 correct build), 4 a verify sweep would exceed the element cap: a label
 enumeration (e.g. verify gl-counts --max-n 1 --q 1000003) or a Sylow
-2-subgroup order (verify sharp-oracle --max-n 20), checked before any work.
-count answers from closed forms, which gl-counts and corollaryF check
-against enumeration.
+2-subgroup order (verify sharp-oracle --max-n 20), checked before any work,
+141 stdout closed by its reader before all output was written. count
+answers from closed forms, which gl-counts and corollaryF check against
+enumeration.
 """
 
 import argparse
 import gc
 import json
+import os
 import sys
 
 # Only what every command needs loads here; each branch of run() imports the
@@ -23,6 +25,7 @@ from .partitions import Partition
 USAGE_EXIT = 2
 VIOLATION_EXIT = 3
 CAP_EXIT = 4
+PIPE_EXIT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +72,8 @@ def parse_int_list(text):
 
 
 def emit(payload):
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    # flushed here, so a closed pipe raises inside run() and not at exit
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), flush=True)
 
 
 def _arg(*names, **options):
@@ -252,9 +256,16 @@ def launch():
     interpreter does not walk the module cycles on its way out; atexit handlers
     and the flush of stdout and stderr still run. main() itself never freezes:
     in-process callers keep collecting their garbage.
+
+    A reader that closes stdout early (oddchar ... | head -c 100) ends the
+    process with PIPE_EXIT and no traceback. fd 1 then points at os.devnull,
+    so the flush at exit cannot raise again.
     """
     try:
         main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(PIPE_EXIT)
     finally:
         gc.freeze()
 

@@ -14,7 +14,6 @@ from .errors import DomainError, TheoremViolationError
 __all__ = [
     "Partition",
     "HookPartition",
-    "RimHook",
     "two_adic",
     "nu2",
     "binom_is_odd",
@@ -194,25 +193,6 @@ class HookPartition(Value):
         return cls(int(data["m"]), int(data["leg"]))
 
 
-class RimHook(Value):
-    """A removable border strip: contiguous rim cells with no 2x2 block.
-
-    The strip is fixed by the parts of the diagram it is removed from and its
-    corner cell (row, col), 1-indexed; its cells are listed only when read.
-    """
-
-    __slots__ = ("length", "rows_spanned", "cols_spanned", "parts", "corner")
-
-    @property
-    def cells(self):
-        i, j = self.corner
-        return _rim_cells(self.parts, i, j, i + self.rows_spanned - 1)
-
-    def hook_type(self):
-        """Hook partition of the same shape class: arm count = columns spanned."""
-        return HookPartition._trusted(self.length, self.rows_spanned - 1)
-
-
 def two_adic(n):
     """Exponents of the set bits of n, descending; () for n = 0."""
     if n < 0:
@@ -293,23 +273,13 @@ def unique_descent(n, a):
     return a - 1 if lo else a
 
 
-def _rim_cells(parts, i, j, l):
-    """Cells of the rim hook attached to corner (i, j), ending in row l."""
-    cells = []
-    for t in range(i, l):
-        right = parts[t - 1]
-        left = parts[t]  # row t+1 exists because t < l <= len(parts)
-        cells.extend((t, c) for c in range(left, right + 1))
-    cells.extend((l, c) for c in range(j, parts[l - 1] + 1))
-    return tuple(cells)
-
-
 def rim_hooks_of_length(lam, m):
     """All removable rim hooks of length m of lam.
 
     Each diagram cell whose hook length is m yields exactly one rim m-hook;
-    returns (RimHook, hook type, partition after removal) triples in reading
-    order of the corner cells, at most one per row.
+    returns (hook type, partition after removal) pairs in reading order of
+    the corner cells, at most one per row. The hook type HookPartition(m, leg)
+    spans leg + 1 rows, and the hook's cells are the skew diagram lam/remainder.
 
     It works on the first-column hook lengths b_i = lam_i + l - i of the l
     rows, which strictly decrease. A rim m-hook has its corner in row i
@@ -336,13 +306,12 @@ def rim_hooks_of_length(lam, m):
         # with b = target, so it keeps target - (length - below) = j - 1 cells
         leg = below - 1 - i
         j = target - length + below + 1
-        hook = RimHook._trusted(m, leg + 1, m - leg, parts, (i + 1, j))
         rest = parts[:i] + tuple([p - 1 for p in parts[i + 1 : below]]) + (j - 1,) + parts[below:]
         if j == 1:  # the hook ends in the first column: drop the emptied rows
             rest = tuple([p for p in rest if p > 0])
         remainder = Partition._trusted(rest, sum(rest))
         assert remainder.n == lam.n - m
-        out.append((hook, hook.hook_type(), remainder))
+        out.append((HookPartition._trusted(m, leg), remainder))
     return out
 
 
@@ -355,7 +324,7 @@ def m_core(lam, m):
         hooks = rim_hooks_of_length(cur, m)
         if not hooks:
             return cur
-        cur = hooks[0][2]
+        cur = hooks[0][1]
 
 
 def _attach_parts(parts, k, h):

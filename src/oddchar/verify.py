@@ -178,7 +178,7 @@ def _check_lemma41(n):
     checks = 0
     for gamma in partitions(n):
         for m in range(1, n + 1):
-            for _, beta, alpha in rim_hooks_of_length(gamma, m):
+            for beta, alpha in rim_hooks_of_length(gamma, m):
                 checks += 1
                 c = lr_coefficient(alpha, beta.to_partition(), gamma)
                 if c != 1:
@@ -205,8 +205,8 @@ def _check_lemma42(m):
         # brute-force census: every gamma of n, by (hook type, remainder), in partitions(n) order
         found = {}
         for gamma in partitions(n):
-            for _, typ, rest in rim_hooks_of_length(gamma, m):
-                found.setdefault((typ, rest), []).append(gamma)
+            for pair in rim_hooks_of_length(gamma, m):
+                found.setdefault(pair, []).append(gamma)
         for alpha in partitions(n - m):
             for leg in range(m):
                 beta = HookPartition(m, leg)

@@ -92,7 +92,7 @@ def test_criterion_03_hook_constituent_multiplicity_one():
     for n in range(1, 11):
         for gamma in partitions(n):
             for m in range(1, n + 1):
-                for _, beta, alpha in rim_hooks_of_length(gamma, m):
+                for beta, alpha in rim_hooks_of_length(gamma, m):
                     checked += 1
                     if lr_coefficient(alpha, beta.to_partition(), gamma) != 1:
                         bad.append((gamma, m, beta))
@@ -111,7 +111,7 @@ def test_criterion_04_unique_attachment():
                     census = [
                         gamma
                         for gamma in partitions(n)
-                        for _, typ, rest in rim_hooks_of_length(gamma, m)
+                        for typ, rest in rim_hooks_of_length(gamma, m)
                         if typ == beta and rest == alpha
                     ]
                     if census != [attach_unique_gamma(alpha, beta, n)]:

@@ -53,7 +53,7 @@ def parity_by_binary_hooks(lam):
         return True
     m = 1 << (lam.n.bit_length() - 1)
     return any(
-        parity_by_binary_hooks(rest) for _, _, rest in rim_hooks_of_length(lam, m)
+        parity_by_binary_hooks(rest) for _, rest in rim_hooks_of_length(lam, m)
     )
 
 
@@ -408,7 +408,7 @@ def test_lr_leaves_no_reference_cycles():
         for n in range(1, 11)
         for gamma in partitions(n)
         for m in range(1, n + 1)
-        for _, beta, alpha in rim_hooks_of_length(gamma, m)
+        for beta, alpha in rim_hooks_of_length(gamma, m)
     ][:1000]
     assert len(shapes) == 1000
     gc.collect()

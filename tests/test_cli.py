@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import contextlib
 import gc
@@ -528,6 +529,33 @@ def test_launch_freezes_after_main_and_still_runs_atexit():
     assert out.stdout == '{"result":[2]}\nfrozen True\n'
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 235 KB of theta, more than a pipe buffer: the reader closes after 150 bytes
+    argv = [sys.executable, "-m", "oddchar.cli", "alpha", str(2**1200 - 1)]
+    launched = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(launched.stdout.read(150)) == 150
+    launched.stdout.close()
+    err = launched.stderr.read()
+    launched.stderr.close()
+    assert launched.wait() == cli.PIPE_EXIT == 141
+    assert err == b""
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(Path(oddchar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            top = {name.partition(".")[0] for name in names}
+            outside += [(path.name, name) for name in top - sys.stdlib_module_names]
+    assert outside == []
+
+
 def test_cli_import_leaves_process_pool_out():
     code = "import sys, oddchar.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -621,7 +649,7 @@ def _lemma42_per_pair(max_m):
                     census = [
                         gamma
                         for gamma in partitions(n)
-                        for _, typ, rest in rim_hooks_of_length(gamma, m)
+                        for typ, rest in rim_hooks_of_length(gamma, m)
                         if typ == beta and rest == alpha
                     ]
                     built = attach_unique_gamma(alpha, beta, n)

@@ -17,7 +17,6 @@ from oddchar.omega import (
 from oddchar.partitions import (
     HookPartition,
     Partition,
-    RimHook,
     attach_unique_gamma,
     binom_is_odd,
     conjugate_parts,
@@ -91,13 +90,12 @@ def rim_hooks_by_cell_scan(lam, m):
             if arm + leg + 1 != m:
                 continue
             l = i + leg
-            hook = RimHook._trusted(m, leg + 1, arm + 1, parts, (i, j))
             rest = list(parts)
             for t in range(i, l):
                 rest[t - 1] = parts[t] - 1
             rest[l - 1] = j - 1
             rest = tuple(p for p in rest if p > 0)
-            out.append((hook, hook.hook_type(), Partition._trusted(rest, sum(rest))))
+            out.append((HookPartition._trusted(m, leg), Partition._trusted(rest, sum(rest))))
     return out
 
 
@@ -144,7 +142,7 @@ def test_internal_builders_yield_valid_partitions():
             assert_valid(lam)
             assert_valid(lam.conjugate())
             for m in range(1, n + 1):
-                for _, _, rest in rim_hooks_of_length(lam, m):
+                for _, rest in rim_hooks_of_length(lam, m):
                     assert_valid(rest)
             if n:
                 for mu in branch_restrict(lam):
@@ -373,44 +371,42 @@ def test_unique_descent_matches_pascal_and_second_claim():
 def test_rim_hooks_examples():
     out = rim_hooks_of_length(Partition((2, 2, 1)), 4)
     assert len(out) == 1
-    _, hook_type, rest = out[0]
+    hook_type, rest = out[0]
     assert rest == Partition((1,))
     assert hook_type.to_partition() == Partition((2, 1, 1))
 
     out = rim_hooks_of_length(Partition((6,)), 6)
     assert len(out) == 1
-    assert out[0][2] == Partition()
-    assert out[0][1] == HookPartition(6, 0)
+    assert out[0][1] == Partition()
+    assert out[0][0] == HookPartition(6, 0)
 
     # the 2x2 square has one rim 3-hook (the L around the corner cell),
     # confirmed by the independent border-strip oracle below
     out = rim_hooks_of_length(Partition((2, 2)), 3)
     assert len(out) == 1
-    assert out[0][2] == Partition((1,))
+    assert out[0][1] == Partition((1,))
 
 
 def test_rim_hooks_match_border_strip_oracle():
     for n in range(1, 11):
         for lam in partitions(n):
             for m in range(1, n + 1):
-                got = {
-                    (rest, frozenset(hook.cells))
-                    for hook, _, rest in rim_hooks_of_length(lam, m)
+                # equal remainders mean equal cells, the skew diagram lam/rest
+                got = {(rest, hook) for hook, rest in rim_hooks_of_length(lam, m)}
+                want = {
+                    (mu, HookPartition(m, len({r for r, _ in cells}) - 1))
+                    for mu, cells in border_strips(lam, m)
                 }
-                assert got == set(border_strips(lam, m)), (lam, m)
+                assert got == want, (lam, m)
 
 
 def test_rim_hooks_match_cell_scan_in_order():
     for n in range(15):
         for lam in partitions(n):
             for m in range(1, n + 2):
-                got = [
-                    (hook, hook.cells, hook_type, rest.parts, rest.n)
-                    for hook, hook_type, rest in rim_hooks_of_length(lam, m)
-                ]
+                got = [(hook, rest.parts, rest.n) for hook, rest in rim_hooks_of_length(lam, m)]
                 want = [
-                    (hook, hook.cells, hook_type, rest.parts, rest.n)
-                    for hook, hook_type, rest in rim_hooks_by_cell_scan(lam, m)
+                    (hook, rest.parts, rest.n) for hook, rest in rim_hooks_by_cell_scan(lam, m)
                 ]
                 assert got == want, (lam, m)
 
@@ -419,11 +415,9 @@ def test_rim_hook_geometry_invariants():
     for n in range(1, 13):
         for lam in partitions(n):
             for m in range(1, n + 1):
-                for hook, hook_type, rest in rim_hooks_of_length(lam, m):
-                    assert hook.rows_spanned + hook.cols_spanned == m + 1
-                    assert hook.length == m == len(hook.cells)
+                for hook, rest in rim_hooks_of_length(lam, m):
                     assert rest.n == n - m
-                    assert hook_type.m == m
+                    assert hook.m == m
 
 
 def test_m_core_examples():
@@ -438,7 +432,7 @@ def test_m_core_order_independent():
         if not hooks:
             return {lam}
         cores = set()
-        for _, _, rest in hooks:
+        for _, rest in hooks:
             cores |= all_cores(rest, m)
         return cores
 
@@ -475,15 +469,11 @@ def test_attach_unique_by_census():
                     matches = [
                         g
                         for g in partitions(n)
-                        for _, typ, rest in rim_hooks_of_length(g, m)
-                        if typ == beta and rest == alpha
+                        for pair in rim_hooks_of_length(g, m)
+                        if pair == (beta, alpha)
                     ]
                     assert matches == [gamma]
-                    back = [
-                        (typ, rest)
-                        for _, typ, rest in rim_hooks_of_length(gamma, m)
-                        if typ == beta and rest == alpha
-                    ]
+                    back = [pair for pair in rim_hooks_of_length(gamma, m) if pair == (beta, alpha)]
                     assert len(back) == 1
 
 
@@ -504,5 +494,5 @@ def test_attach_inverts_removal(data):
     n = data.draw(st.integers(min_value=2, max_value=14))
     lam = data.draw(st.sampled_from(partitions(n)))
     m = data.draw(st.integers(min_value=(n + 2) // 2, max_value=n))
-    for _, beta, rest in rim_hooks_of_length(lam, m):
+    for beta, rest in rim_hooks_of_length(lam, m):
         assert attach_unique_gamma(rest, beta, n) == lam

@@ -109,7 +109,7 @@ def alpha_by_rim_hooks(lam):
     """Reference alpha: strip the one rim hook of each 2-power block, largest first."""
     hooks = []
     for e in two_adic(lam.n):
-        (_, hook, lam), = rim_hooks_of_length(lam, 1 << e)
+        (hook, lam), = rim_hooks_of_length(lam, 1 << e)
         hooks.append(hook)
     assert lam.n == 0
     return ThetaLabel(tuple(hooks))

@@ -7,7 +7,7 @@ import pytest
 
 from oddchar.glu import GLabel, parabolic_star
 from oddchar.omega import NormalizerLocalLabel, sharp_glu
-from oddchar.partitions import HookPartition, Partition, Value, rim_hooks_of_length
+from oddchar.partitions import HookPartition, Partition, Value
 from oddchar.sym import WreathOddLabel, alpha_sn, sharp_sn
 
 
@@ -20,10 +20,6 @@ def _glabel():
 CASES = [
     (lambda: Partition((2, 1)), "Partition(2, 1)"),
     (lambda: HookPartition(3, 1), "HookPartition(m=3, leg=1)"),
-    (
-        lambda: rim_hooks_of_length(Partition((3, 1)), 2)[0][0],
-        "RimHook(length=2, rows_spanned=1, cols_spanned=2, parts=(3, 1), corner=(1, 2))",
-    ),
     (lambda: alpha_sn(Partition((3, 1))), "ThetaLabel(hooks=(HookPartition(m=4, leg=1),))"),
     (lambda: sharp_sn(Partition((3, 1))), "SylowLinearLabel(blocks=((4, (0, 1)),))"),
     (
@@ -120,8 +116,6 @@ def test_pickle_and_copy_round_trip(make, text):
 def test_round_trip_keeps_derived_fields():
     lam = pickle.loads(pickle.dumps(Partition((4, 2, 1))))
     assert lam.n == 7 and lam.conjugate() == Partition((3, 2, 1, 1))
-    hook = copy.deepcopy(rim_hooks_of_length(Partition((3, 1)), 2)[0][0])
-    assert hook.cells == ((1, 2), (1, 3))
 
 
 def test_constructor_checks_the_number_of_fields():
