@@ -12,27 +12,22 @@ Errors and partitions load with the package; every other public name loads
 its home module on first use.
 """
 
-# Every command parses a Partition. Loading partitions eagerly also keeps
-# oddchar.partitions the function: a later first import of the submodule
-# would rebind that name to the module.
-from .errors import DomainError, EnumerationCapError, OddcharError, TheoremViolationError
-from .partitions import (
-    HookPartition,
-    Partition,
-    attach_unique_gamma,
-    binom_is_odd,
-    m_core,
-    nu2,
-    odd_multinomial_order,
-    partitions,
-    rim_hooks_of_length,
-    two_adic,
-    unique_descent,
-)
-
-# Each public name of the other modules, by home module. A name loads its home
-# (and what that imports) on first use, so a command pays only for what it runs.
+# Each public name by home module, its one declaration: a module's __all__ is its row.
 _HOMES = {
+    "errors": ("DomainError", "EnumerationCapError", "OddcharError", "TheoremViolationError"),
+    "partitions": (
+        "HookPartition",
+        "Partition",
+        "attach_unique_gamma",
+        "binom_is_odd",
+        "m_core",
+        "nu2",
+        "odd_multinomial_order",
+        "partitions",
+        "rim_hooks_of_length",
+        "two_adic",
+        "unique_descent",
+    ),
     "characters": (
         "branch_restrict",
         "class_size",
@@ -71,7 +66,6 @@ _HOMES = {
         "enumerate_odd_labels",
         "is_odd_label",
         "is_prime_power_odd",
-        "levi_star",
         "odd_label_count",
         "parabolic_star",
         "real_label_count",
@@ -84,6 +78,7 @@ _HOMES = {
         "count_real_odd",
         "enumerate_omega_labels",
         "galois_act",
+        "levi_star",
         "local_to_omega",
         "omega_to_local",
         "outer_act",
@@ -92,7 +87,13 @@ _HOMES = {
     ),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
-__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME_OF))
+__all__ = sorted(_HOME_OF)
+
+# errors and partitions read _HOMES while they load. Loading partitions here
+# keeps oddchar.partitions the function: a later first import of the
+# submodule would rebind it to the module.
+from .errors import *
+from .partitions import *
 
 
 def __getattr__(name):

@@ -11,7 +11,8 @@ hook lengths {1, ..., b_i} minus {b_i - b_k : k > i}, so
 
     nu2(f^lam) = nu2(n!) - sum_i nu2(b_i!) + sum_{i<k} nu2(b_i - b_k),
 
-with nu2(b!) = b - popcount(b). It takes the shorter of lam and its
+with nu2(b!) = b - popcount(b), nu2 being the 2-adic valuation here and
+the 2-part in partitions.nu2. The oracle takes the shorter of lam and its
 conjugate, which have the same degree, and never forms the degree itself.
 
 Each valuation is kept in _nu2_degree, keyed on parts, and one short step
@@ -35,18 +36,11 @@ import math
 from functools import cache
 from operator import lt, sub
 
+from . import _HOMES
 from .errors import DomainError
 from .partitions import Partition, _partition_tuples, conjugate_parts, rim_hooks_of_length
 
-__all__ = [
-    "degree",
-    "is_odd_partition",
-    "odd_partitions",
-    "mn_value",
-    "branch_restrict",
-    "lr_coefficient",
-    "class_size",
-]
+__all__ = _HOMES["characters"]
 
 @cache
 def _degree(parts):

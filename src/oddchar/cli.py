@@ -2,13 +2,13 @@
 
 Exit codes: 0 success (and every verify check passed), 1 verify sweep with
 failures, 2 usage or domain error (including a verify sweep that checks
-nothing), 3 violated uniqueness/existence guarantee (never happens on a
-correct build), 4 a verify sweep would exceed the element cap: a label
-enumeration (e.g. verify gl-counts --max-n 1 --q 1000003) or a Sylow
-2-subgroup order (verify sharp-oracle --max-n 20), checked before any work,
-141 stdout closed by its reader before all output was written. count
-answers from closed forms, which gl-counts and corollaryF check against
-enumeration.
+nothing or is given an option it does not take), 3 violated uniqueness or
+existence guarantee (never happens on a correct build), 4 a verify sweep
+would exceed the element cap: a label enumeration (e.g. verify gl-counts
+--max-n 1 --q 1000003) or a Sylow 2-subgroup order (verify sharp-oracle
+--max-n 20), checked before any work, 141 stdout closed by its reader before
+all output was written. count answers from closed forms, which gl-counts and
+corollaryF check against enumeration.
 """
 
 import argparse
@@ -197,7 +197,8 @@ def run(argv):
         label = GLabel(args.kappa, args.q, parse_pairs(args.pairs))
         emit(sharp_glu(label).to_json())
     elif cmd == "levi-star":
-        from .glu import GLabel, levi_star
+        from .glu import GLabel
+        from .omega import levi_star
 
         label = GLabel(args.kappa, args.q, parse_pairs(args.pairs))
         factors = levi_star(label, parse_int_list(args.blocks))

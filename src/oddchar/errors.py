@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all modules."""
 
-__all__ = ["OddcharError", "DomainError", "TheoremViolationError", "EnumerationCapError"]
+from . import _HOMES
+
+__all__ = _HOMES["errors"]
 
 
 class OddcharError(Exception):

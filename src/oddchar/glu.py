@@ -11,33 +11,19 @@ from collections import namedtuple
 from functools import cache
 from itertools import permutations as _permutations, product
 
+from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import (
     Partition,
     Value,
     nu2,
     odd_multinomial_order,
-    split_by_digit,
     two_adic,
 )
 from .characters import is_odd_partition, odd_partitions
 from .sym import star_sn
 
-__all__ = [
-    "GLabel",
-    "ParabolicCorrespondent",
-    "is_prime_power_odd",
-    "is_odd_label",
-    "canonical_order",
-    "parabolic_star",
-    "enumerate_odd_labels",
-    "count_odd_irr_gl",
-    "odd_label_count",
-    "real_label_count",
-    "sl_correspondence_data",
-    "sl_label_census",
-    "levi_star",
-]
+__all__ = _HOMES["glu"]
 
 
 KappaQ = namedtuple(
@@ -348,23 +334,3 @@ def sl_label_census(n, q):
         for c in range(mod):
             seen.add(_trusted_glabel("+", q, [((s + c) % mod, lam) for s, lam in label.pairs]))
     return orbits
-
-
-def levi_star(label, blocks):
-    """Per-factor odd labels for a Levi subgroup of odd index.
-
-    Splits the normalizer-side label of the character along the block sizes
-    (each a union of 2-adic blocks of n) and inverts the normalizer bijection
-    on each factor; results follow the input block order.
-    """
-    from .omega import OmegaLabel, sharp_glu, sharp_glu_inverse
-
-    blocks = list(blocks)
-    if odd_multinomial_order(blocks) is None:
-        raise DomainError(f"Levi blocks {blocks} do not have odd index")
-    if sum(blocks) != label.n:
-        raise DomainError(f"blocks sum to {sum(blocks)}, need {label.n}")
-    return [
-        sharp_glu_inverse(OmegaLabel(label.kappa, label.q, factor_blocks))
-        for factor_blocks in split_by_digit(sharp_glu(label).blocks, blocks)
-    ]

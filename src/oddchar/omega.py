@@ -2,7 +2,8 @@
 
 Odd-degree characters of the Sylow 2-normalizer are parametrized per 2-adic
 block of n by a residue and a hook; the sharp bijection transports the label
-algebra of the full group onto these coordinates. Galois and outer actions
+algebra of the full group onto these coordinates, and levi_star splits it
+along the blocks of an odd-index Levi subgroup. Galois and outer actions
 move residues by exponentiation and fix all hooks, which makes equivariance
 a finite check.
 """
@@ -11,23 +12,20 @@ import math
 from functools import cache
 from itertools import product
 
+from . import _HOMES
 from .errors import DomainError, TheoremViolationError
-from .partitions import HookPartition, Value, check_two_adic_layout, two_adic
+from .partitions import (
+    HookPartition,
+    Value,
+    check_two_adic_layout,
+    odd_multinomial_order,
+    split_by_digit,
+    two_adic,
+)
 from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
 from .glu import GLabel, _trusted_glabel, check_label_count, kappa_q
 
-__all__ = [
-    "OmegaLabel",
-    "NormalizerLocalLabel",
-    "local_to_omega",
-    "omega_to_local",
-    "sharp_glu",
-    "sharp_glu_inverse",
-    "galois_act",
-    "outer_act",
-    "enumerate_omega_labels",
-    "count_real_odd",
-]
+__all__ = _HOMES["omega"]
 
 
 class OmegaLabel(Value):
@@ -194,6 +192,24 @@ def sharp_glu_inverse(omega):
     if image != omega:
         raise TheoremViolationError(f"round trip failed for {omega}")
     return label
+
+
+def levi_star(label, blocks):
+    """Per-factor odd labels for a Levi subgroup of odd index.
+
+    Splits the normalizer-side label of the character along the block sizes
+    (each a union of 2-adic blocks of n) and inverts the normalizer bijection
+    on each factor; results follow the input block order.
+    """
+    blocks = list(blocks)
+    if odd_multinomial_order(blocks) is None:
+        raise DomainError(f"Levi blocks {blocks} do not have odd index")
+    if sum(blocks) != label.n:
+        raise DomainError(f"blocks sum to {sum(blocks)}, need {label.n}")
+    return [
+        sharp_glu_inverse(OmegaLabel(label.kappa, label.q, factor_blocks))
+        for factor_blocks in split_by_digit(sharp_glu(label).blocks, blocks)
+    ]
 
 
 def _act_on_residue(fn, x):

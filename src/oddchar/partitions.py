@@ -9,21 +9,10 @@ from bisect import bisect_left
 from functools import cache, reduce
 from operator import or_
 
+from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 
-__all__ = [
-    "Partition",
-    "HookPartition",
-    "two_adic",
-    "nu2",
-    "binom_is_odd",
-    "odd_multinomial_order",
-    "unique_descent",
-    "rim_hooks_of_length",
-    "m_core",
-    "attach_unique_gamma",
-    "partitions",
-]
+__all__ = _HOMES["partitions"]
 
 
 class Value:

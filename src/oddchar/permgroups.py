@@ -12,14 +12,12 @@ correspondence modules (alpha_sn, hook_to_bits, the Gray code).
 
 from functools import cache, cached_property
 
+from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
 from .characters import mn_value
 from .partitions import Partition, two_adic
 
-__all__ = [
-    "sylow2_subgroup",
-    "restriction_multiplicities",
-]
+__all__ = _HOMES["permgroups"]
 
 
 def _add(sums, cycle_type, row):
@@ -115,17 +113,19 @@ class Sylow2Subgroup:
         return {Partition._trusted(t, self.degree): row for t, row in sums.items()}
 
 
-def sylow2_subgroup(n, cap=DEFAULT_CAP):
+def sylow2_subgroup(n):
     """An explicit Sylow 2-subgroup of the symmetric group on n points.
 
     Its order is the full 2-part of n!, 2**(n - popcount(n)). An order above
-    cap raises EnumerationCapError before anything is built.
+    DEFAULT_CAP raises EnumerationCapError before anything is built.
     """
     if n < 1:
         raise DomainError("n must be positive")
     order = 1 << (n - n.bit_count())
-    if order > cap:
-        raise EnumerationCapError(f"Sylow 2-subgroup of degree {n} has order {order} > cap {cap}")
+    if order > DEFAULT_CAP:
+        raise EnumerationCapError(
+            f"Sylow 2-subgroup of degree {n} has order {order} > cap {DEFAULT_CAP}"
+        )
     return Sylow2Subgroup(n)
 
 

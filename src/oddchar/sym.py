@@ -15,6 +15,7 @@ odd multiplicity in the restriction of the hook character.
 
 from itertools import product
 
+from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
@@ -29,23 +30,7 @@ from .partitions import (
 )
 from .characters import is_odd_partition, branch_restrict, odd_partitions
 
-__all__ = [
-    "ThetaLabel",
-    "SylowLinearLabel",
-    "WreathOddLabel",
-    "star_sn",
-    "alpha_sn",
-    "alpha_sn_inverse",
-    "hook_to_bits",
-    "bits_to_hook",
-    "sharp_sn",
-    "sharp_sn_inverse",
-    "count_odd_irr_sn",
-    "young_star",
-    "wreath_index_is_odd",
-    "theorem_d_star",
-    "wreath_odd_labels",
-]
+__all__ = _HOMES["sym"]
 
 
 class ThetaLabel(Value):
@@ -320,10 +305,7 @@ def theorem_d_star(lam, k, t):
         fibers.items(), key=lambda item: min(e for e, _ in item[1])
     ):
         t_i = sum(1 << e for e, _ in members)
-        if c:
-            psi = sharp_sn_inverse(SylowLinearLabel(((k, base_bits),)))
-        else:
-            psi = Partition._trusted((1,), 1)
+        psi = sharp_sn_inverse(SylowLinearLabel(((k, base_bits),)))
         alpha = sharp_sn_inverse(
             SylowLinearLabel(tuple((1 << e, bits) for e, bits in members))
         )

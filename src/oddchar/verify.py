@@ -10,8 +10,8 @@ import math
 import os
 from functools import partial
 
-from .errors import DEFAULT_CAP, EnumerationCapError, TheoremViolationError
-from .partitions import HookPartition, Partition, partitions, rim_hooks_of_length
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
+from .partitions import HookPartition, Partition, attach_unique_gamma, partitions, rim_hooks_of_length
 from .characters import (
     branch_restrict,
     degree,
@@ -115,7 +115,7 @@ def _check_sn_star(n):
     return checks, ces
 
 
-def suite_sn_star(max_n=12, jobs=1, **_):
+def suite_sn_star(max_n=12, jobs=1):
     return _sweep("sn-star", {"max_n": max_n}, range(2, max_n + 1), _check_sn_star, jobs)
 
 
@@ -137,7 +137,7 @@ def _check_alpha(n):
     return len(odd) + 1, ces
 
 
-def suite_alpha_bij(max_n=16, jobs=1, **_):
+def suite_alpha_bij(max_n=16, jobs=1):
     return _sweep("alpha-bij", {"max_n": max_n}, range(1, max_n + 1), _check_alpha, jobs)
 
 
@@ -168,7 +168,7 @@ def _check_sharp(n):
     return checks, ces
 
 
-def suite_sharp_oracle(max_n=8, jobs=1, **_):
+def suite_sharp_oracle(max_n=8, jobs=1):
     items = range(2, max_n + 1)
     return _sweep("sharp-oracle", {"max_n": max_n}, items, _check_sharp, jobs, sylow2_subgroup)
 
@@ -192,13 +192,11 @@ def _check_lemma41(n):
     return checks, ces
 
 
-def suite_lemma41(max_n=10, jobs=1, **_):
+def suite_lemma41(max_n=10, jobs=1):
     return _sweep("lemma41", {"max_n": max_n}, range(1, max_n + 1), _check_lemma41, jobs)
 
 
 def _check_lemma42(m):
-    from .partitions import attach_unique_gamma
-
     ces = []
     checks = 0
     for n in range(m, 2 * m):
@@ -224,7 +222,7 @@ def _check_lemma42(m):
     return checks, ces
 
 
-def suite_lemma42(max_n=8, jobs=1, **_):
+def suite_lemma42(max_n=8, jobs=1):
     return _sweep("lemma42", {"max_m": max_n}, range(2, max_n + 1), _check_lemma42, jobs)
 
 
@@ -243,7 +241,7 @@ def _check_s7(lam_parts):
     return 1, ces
 
 
-def suite_s7_counterexample(jobs=1, **_):
+def suite_s7_counterexample(jobs=1):
     return _sweep("s7-counterexample", {}, [(4, 2, 1), (3, 2, 1, 1)], _check_s7, jobs)
 
 
@@ -266,7 +264,7 @@ def _check_theorem_d(pair):
     return len(odd) + 1, ces
 
 
-def suite_theorem_d(max_n=8, jobs=1, **_):
+def suite_theorem_d(max_n=8, jobs=1):
     pairs = [
         (k, t)
         for k in range(1, max_n + 1)
@@ -284,7 +282,7 @@ def _check_count(count, closed_form, item):
     return 1, []
 
 
-def suite_gl_counts(max_n=8, qs=(3, 5, 7, 9), kappas=("+", "-"), jobs=1, **_):
+def suite_gl_counts(max_n=8, qs=(3, 5, 7, 9), kappas=("+", "-"), jobs=1):
     # made per run, not at import, so that a wrapper set on either name is called
     check = partial(_check_count, count_odd_irr_gl, odd_label_count)
     return _label_sweep("gl-counts", check, max_n, qs, kappas, jobs)
@@ -315,7 +313,7 @@ def _check_omega_bij(item):
     return len(labels) + len(space), ces
 
 
-def suite_omega_bij(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
+def suite_omega_bij(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1):
     return _label_sweep("omega-bij", _check_omega_bij, max_n, qs, kappas, jobs)
 
 
@@ -358,13 +356,13 @@ def _check_equivariance(item):
     return checks, ces
 
 
-def suite_galois_equivariance(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1, **_):
+def suite_galois_equivariance(max_n=6, qs=(3, 5, 9), kappas=("+", "-"), jobs=1):
     return _label_sweep(
         "galois-equivariance", _check_equivariance, max_n, qs, kappas, jobs, _bound_equivariance
     )
 
 
-def suite_corollary_f(max_n=8, qs=(3, 5, 7, 9, 11), kappas=("+", "-"), jobs=1, **_):
+def suite_corollary_f(max_n=8, qs=(3, 5, 7, 9, 11), kappas=("+", "-"), jobs=1):
     check = partial(_check_count, count_real_odd, real_label_count)
     return _label_sweep("corollaryF", check, max_n, qs, kappas, jobs)
 
@@ -384,6 +382,16 @@ SUITES = {
 }
 
 
+# The CLI flag of each option that some suites do not take (every suite takes jobs).
+_FLAGS = {"max_n": "--max-n", "qs": "--q", "kappas": "--kappa"}
+
+
 def run_suite(name, **kwargs):
+    """The report of one suite; an option it does not take raises DomainError."""
+    suite = SUITES[name]
+    takes = suite.__code__.co_varnames[: suite.__code__.co_argcount]
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return SUITES[name](**kwargs)
+    unread = [_FLAGS.get(k, k) for k in kwargs if k not in takes]
+    if unread:
+        raise DomainError(f"verify {name} takes no {', '.join(unread)}")
+    return suite(**kwargs)

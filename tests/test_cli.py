@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -250,6 +251,20 @@ def test_unknown_suite_names_the_choices(capsys):
     assert captured.out == ""
     assert "unknown suite 'nosuch'" in captured.err
     assert all(name in captured.err for name in verify.SUITES)
+
+
+UNREAD = [
+    (["verify", "sn-star", "--max-n", "4", "--q", "3", "--kappa", "-"], "--q, --kappa"),
+    (["verify", "s7-counterexample", "--max-n", "99"], "--max-n"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+def test_verify_refuses_an_option_the_suite_does_not_take(capsys, argv, flags):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[1]} takes no {flags}\n"
 
 
 def test_verify_without_checks_is_usage_error(capsys):
@@ -556,6 +571,22 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_library_modules_import_each_other_only_at_the_top():
+    # cli imports inside run() on purpose: a launch loads only its command's modules
+    nested = []
+    for path in sorted(Path(oddchar.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    (path.name, func.name, node.module)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                ]
+    assert nested == []
+
+
 def test_cli_import_leaves_process_pool_out():
     code = "import sys, oddchar.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -618,7 +649,7 @@ function_after_cli = oddchar.partitions is sys.modules["oddchar.partitions"].par
 listed = dir(oddchar)
 missing = [
     name
-    for home in ["errors", "partitions", *oddchar._HOMES]
+    for home in oddchar._HOMES
     for name in importlib.import_module("oddchar." + home).__all__
     if name not in listed
     or getattr(oddchar, name) is not getattr(importlib.import_module("oddchar." + home), name)
@@ -627,9 +658,11 @@ print(json.dumps([function_after_import, function_after_cli, missing]))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == [True, True, []]
-    # each lazily loaded module exports exactly its own __all__
+    # each module's __all__ is its row of the table, and the package lists names only
     for home, names in oddchar._HOMES.items():
-        assert set(names) == set(importlib.import_module("oddchar." + home).__all__), home
+        assert importlib.import_module("oddchar." + home).__all__ is names, home
+    assert oddchar.__all__ == sorted(oddchar._HOME_OF)
+    assert not [name for name in oddchar.__all__ if isinstance(getattr(oddchar, name), ModuleType)]
     namespace = {}
     exec("from oddchar import *", namespace)
     assert set(oddchar._HOME_OF) <= namespace.keys()
@@ -679,9 +712,7 @@ def test_lemma42_reports_a_planted_wrong_gamma(monkeypatch):
             return Partition((3, 2))
         return attach_unique_gamma(a, b, k)
 
-    # the package re-exports the function partitions(), so fetch the module itself
-    partitions_module = importlib.import_module("oddchar.partitions")
-    monkeypatch.setattr(partitions_module, "attach_unique_gamma", planted)
+    monkeypatch.setattr(verify, "attach_unique_gamma", planted)
     report = run_suite("lemma42", max_n=6).to_json()
     assert report["failed"] == 1
     assert report["counterexamples"] == [

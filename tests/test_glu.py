@@ -16,11 +16,11 @@ from oddchar.glu import (
     is_odd_label,
     is_prime_power_odd,
     kappa_q,
-    levi_star,
     parabolic_star,
     sl_correspondence_data,
     sl_label_census,
 )
+from oddchar.omega import levi_star
 
 
 def closed_form(n, q, kappa):

@@ -1,5 +1,6 @@
 import pytest
 
+from oddchar import permgroups
 from oddchar.errors import EnumerationCapError
 from oddchar.characters import degree, mn_value, odd_partitions
 from oddchar.partitions import Partition, partitions, two_adic
@@ -215,11 +216,13 @@ def test_restriction_matches_brute_force_sum():
             assert restriction_multiplicities(lam, group) == expected, (n, lam)
 
 
-def test_sylow_order_checked_against_cap_before_enumeration():
+def test_sylow_order_checked_against_cap_before_enumeration(monkeypatch):
     # the order is checked before any group object is built
     assert 1 << (20 - 2) > DEFAULT_CAP
     with pytest.raises(EnumerationCapError):
         sylow2_subgroup(20)
+    monkeypatch.setattr(permgroups, "DEFAULT_CAP", 64)
     with pytest.raises(EnumerationCapError):
-        sylow2_subgroup(8, cap=64)
-    assert sylow2_subgroup(8, cap=128).order == 128
+        sylow2_subgroup(8)
+    monkeypatch.setattr(permgroups, "DEFAULT_CAP", 128)
+    assert sylow2_subgroup(8).order == 128
