@@ -2,14 +2,14 @@
 
 A character label is a multiset of (semisimple residue, partition) pairs with
 pairwise distinct residues modulo q - kappa*1; residues are exponents of a
-fixed generator of the cyclic group of that order. Degree parity is read off
-the symmetric-group side, so everything here is partition combinatorics plus
-modular arithmetic on residues.
+fixed generator of the cyclic group of that order. An odd label of rank n
+gives each binary digit of n a residue, and each residue an odd partition of
+the sum of its digits. Degree parity is read off the symmetric-group side.
 """
 
 from collections import namedtuple
 from functools import cache
-from itertools import permutations as _permutations, product
+from itertools import product
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
@@ -237,24 +237,11 @@ def parabolic_star(label):
     return ParabolicCorrespondent((s1, Partition((1,))), rest)
 
 
-def _digit_groupings(exponents):
-    """Set partitions of the 2-adic digit multiset, as tuples of digit tuples."""
-    exponents = list(exponents)
-    if not exponents:
-        yield ()
-        return
-    first, rest = exponents[0], exponents[1:]
-    for grouping in _digit_groupings(rest):
-        yield ((first,),) + grouping
-        for i, group in enumerate(grouping):
-            yield grouping[:i] + ((first,) + group,) + grouping[i + 1 :]
-
-
 def odd_label_count(n, q, kappa):
     """Closed-form number of odd labels of rank n.
 
-    The product of modulus * 2^e over the binary digits 2^e of n; the
-    normalizer coordinates number the same.
+    modulus^r * 2^(sum e) over the r binary digits 2^e of n: a residue per digit
+    and an odd partition per residue. The normalizer coordinates number the same.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -282,16 +269,20 @@ def check_label_count(n, q, kappa):
 
 
 def enumerate_odd_labels(n, q, kappa):
-    """All odd labels of rank n: digit-partitioned sizes, distinct residues, odd parts."""
+    """All odd labels of rank n: a residue per binary digit, an odd partition per residue."""
     check_label_count(n, q, kappa)
     mod = kappa_q(kappa, q).modulus
+    digits = [1 << e for e in two_adic(n)]
+    # each nonempty digit subset is some residue's size, as mod >= 2
+    census = {k: odd_partitions(k) for k in range(1, n + 1) if k & n == k}
     out = []
-    for grouping in _digit_groupings(two_adic(n)):
-        sizes = [sum(1 << e for e in group) for group in grouping]
-        choices = [odd_partitions(k) for k in sizes]
-        for residues in _permutations(range(mod), len(sizes)):
-            levels = [[(s, lam) for lam in choice] for s, choice in zip(residues, choices)]
-            out.extend(_trusted_glabel(kappa, q, pairs) for pairs in product(*levels))
+    # a residue's size is the sum of its digits; in residue order the pairs are canonical
+    for residues in product(range(mod), repeat=len(digits)):
+        sizes = {}
+        for s, digit in zip(residues, digits):
+            sizes[s] = sizes.get(s, 0) + digit
+        levels = [[(s, lam) for lam in census[sizes[s]]] for s in sorted(sizes)]
+        out.extend(GLabel._trusted(kappa, q, pairs) for pairs in product(*levels))
     return out
 
 

@@ -139,10 +139,10 @@ def omega_to_local(kappa, q, s, hook):
 def _partition_hooks(lam):
     """alpha_sn(lam).hooks, stripped once per label partition.
 
-    Galois and outer actions fix every partition of a label, so sharp_glu
-    meets the same few partitions again and again. alpha_sn itself stays
-    uncached: sweeps over large n strip thousands of distinct partitions once
-    each, and a cache there would only hold memory.
+    A partition recurs in every label that carries it under another residue,
+    and again in sharp_glu_inverse's round trips, so sharp_glu meets the same
+    few partitions again and again. alpha_sn itself stays uncached: sweeps at
+    large n strip thousands of distinct partitions once each.
     """
     return alpha_sn(lam).hooks
 

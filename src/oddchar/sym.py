@@ -279,8 +279,8 @@ def theorem_d_star(lam, k, t):
     Requires odd index. The sharp label of lam is read through the wreath
     structure of the Sylow 2-subgroup: within each 2-adic block of t the
     bottom tower levels give the base-character label on one S_k factor and
-    the remaining levels give the top label; grouping blocks by equal base
-    label and inverting sharp per factor yields the (base, top) label pair.
+    the remaining levels give the top label; keying each digit of t on its
+    base label and inverting sharp per group yields the (base, top) pair.
     """
     n = k * t
     if lam.n != n:
@@ -294,38 +294,31 @@ def theorem_d_star(lam, k, t):
     if k & (k - 1):
         raise TheoremViolationError(f"odd index with t >= 2 forces a 2-power k, got {k}")
     c = k.bit_length() - 1
-    label = sharp_sn(lam)
     fibers = {}
-    for (size, bits), e in zip(label.blocks, two_adic(t)):
-        assert size == k << e
-        fibers.setdefault(bits[:c], []).append((e, bits[c:]))
+    # smallest block first, so the groups come in order of their lowest digit
+    for size, bits in reversed(sharp_sn(lam).blocks):
+        fibers.setdefault(bits[:c], []).append((size // k, bits[c:]))
     base = []
     top = []
-    for base_bits, members in sorted(
-        fibers.items(), key=lambda item: min(e for e, _ in item[1])
-    ):
-        t_i = sum(1 << e for e, _ in members)
+    for base_bits, members in fibers.items():
         psi = sharp_sn_inverse(SylowLinearLabel(((k, base_bits),)))
-        alpha = sharp_sn_inverse(
-            SylowLinearLabel(tuple((1 << e, bits) for e, bits in members))
-        )
-        base.append((psi, t_i))
+        alpha = sharp_sn_inverse(SylowLinearLabel(tuple(reversed(members))))
+        base.append((psi, alpha.n))
         top.append(alpha)
     return WreathOddLabel(k, t, tuple(base), tuple(top))
 
 
 def wreath_odd_labels(k, t):
-    """Clifford enumeration of the odd-degree labels of S_k wr S_t (odd index)."""
+    """Clifford enumeration of the odd labels of S_k wr S_t: an odd psi of k per digit of t."""
     if not wreath_index_is_odd(k, t):
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{k * t}")
     labels = []
-    blocks = two_adic(t)
-    for choice in product(odd_partitions(k), repeat=len(blocks)):
-        fibers = {}
-        for psi, e in zip(choice, blocks):
-            fibers.setdefault(psi, []).append(e)
-        groups = sorted(fibers.items(), key=lambda item: min(item[1]))
-        base = tuple((psi, sum(1 << e for e in exps)) for psi, exps in groups)
-        tops = product(*(odd_partitions(size) for _, size in base))
-        labels.extend(WreathOddLabel(k, t, base, top) for top in tops)
+    # t_i is the sum of psi's digits; walked upward, the groups come in lowest-digit order
+    digits = [1 << e for e in reversed(two_adic(t))]
+    for choice in product(odd_partitions(k), repeat=len(digits)):
+        shares = {}
+        for psi, digit in zip(choice, digits):
+            shares[psi] = shares.get(psi, 0) + digit
+        tops = product(*(odd_partitions(size) for size in shares.values()))
+        labels.extend(WreathOddLabel(k, t, tuple(shares.items()), top) for top in tops)
     return labels

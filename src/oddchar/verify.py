@@ -78,20 +78,23 @@ def _sweep(suite, params, items, check, jobs, bound=None):
     """The report of check over items, run on up to jobs worker processes.
 
     bound(item) raises EnumerationCapError on an item whose work passes the
-    cap; every item is bounded before any of them runs.
+    cap. Items are bounded as they are listed, so the first one over the cap
+    ends the listing, and every item is bounded before any of them runs.
     """
-    if bound is not None:
-        for item in items:
+    listed = []
+    for item in items:
+        if bound is not None:
             bound(item)
+        listed.append(item)
     report = VerifyReport(suite, params)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(listed), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip this import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, items))
+            results = list(pool.map(check, listed))
     else:
-        results = [check(item) for item in items]
+        results = [check(item) for item in listed]
     for checks, ces in results:
         report.add(checks, ces)
     return report
@@ -99,7 +102,7 @@ def _sweep(suite, params, items, check, jobs, bound=None):
 
 def _label_sweep(suite, check, max_n, qs, kappas, jobs, bound=check_label_count):
     """A sweep over the (n, q, kappa) grid with n = 1..max_n; bound takes n, q, kappa."""
-    items = [(n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas]
+    items = ((n, q, k) for n in range(1, max_n + 1) for q in qs for k in kappas)
     params = {"max_n": max_n, "q": list(qs), "kappa": list(kappas)}
     return _sweep(suite, params, items, check, jobs, lambda item: bound(*item))
 

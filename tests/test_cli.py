@@ -5,9 +5,11 @@ import gc
 import importlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
@@ -28,6 +30,7 @@ from oddchar.partitions import (
 from oddchar.verify import run_suite
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -328,6 +331,19 @@ def test_label_sweeps_bound_the_whole_grid_first(capsys, monkeypatch, suite, max
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"enumeration cap: {message}\n"
+
+
+def test_label_sweeps_stop_listing_the_grid_at_the_first_item_over_the_cap():
+    # a million-item grid: the items past rank 59 are never listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError) as info:
+            run_suite("gl-counts", max_n=10**6, qs=(3,), kappas=("+",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "262144 labels of rank 59 > cap 200000"
+    assert peak < 1 << 20
 
 
 def test_default_and_benchmark_label_grids_stay_under_the_cap(monkeypatch):
@@ -815,3 +831,15 @@ def test_golden_cli_bytes(capsysbinary, argv, code, stdout):
     captured = capsysbinary.readouterr()
     assert captured.out == stdout
     assert (code == 0) == (captured.err == b"")
+
+
+def test_readme_examples_run(capsys):
+    # each `oddchar ...` line of the README; a `# {...}` comment is its exact stdout
+    examples = [line for line in README.read_text().splitlines() if line.startswith("oddchar ")]
+    assert len(examples) >= 14
+    for line in examples:
+        command, _, comment = line.partition("#")
+        assert run_cli(*shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip().startswith("{"):
+            assert out == comment.strip() + "\n", line

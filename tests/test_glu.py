@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import pytest
 
@@ -168,6 +169,37 @@ def test_counts_match_closed_form():
         for q in (3, 5, 7, 9):
             for kappa in ("+", "-"):
                 assert count_odd_irr_gl(n, q, kappa) == closed_form(n, q, kappa)
+
+
+def _all_labels(n, q, kappa):
+    """Every label of rank n, through the validated constructor.
+
+    Residues are chosen in increasing order and the sizes as a composition
+    of n, so each multiset of (residue, partition) pairs is built once.
+    """
+    mod = kappa_q(kappa, q).modulus
+    labels = []
+    for m in range(1, n + 1):
+        for cuts in combinations(range(1, n), m - 1):
+            sizes = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            for residues in combinations(range(mod), m):
+                for lams in product(*(partitions(k) for k in sizes)):
+                    labels.append(GLabel(kappa, q, tuple(zip(residues, lams))))
+    return labels
+
+
+def test_enumeration_is_the_odd_part_of_a_census_of_all_labels():
+    for n in range(1, 6):
+        for q in (3, 5):
+            for kappa in ("+", "-"):
+                expected = {label for label in _all_labels(n, q, kappa) if is_odd_label(label)}
+                labels = enumerate_odd_labels(n, q, kappa)
+                assert len(set(labels)) == len(labels)
+                assert set(labels) == expected
+                for label in labels:
+                    residues = [s for s, _ in label.pairs]
+                    assert residues == sorted(residues)
+                    assert label == GLabel(label.kappa, label.q, label.pairs)
 
 
 def test_parabolic_star_is_bijective_for_odd_n():
