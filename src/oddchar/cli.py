@@ -5,10 +5,11 @@ failures, 2 usage or domain error (including a verify sweep that checks
 nothing or is given an option it does not take), 3 violated uniqueness or
 existence guarantee (never happens on a correct build), 4 a verify sweep
 would exceed the element cap: a label enumeration (e.g. verify gl-counts
---max-n 1 --q 1000003) or a Sylow 2-subgroup order (verify sharp-oracle
---max-n 20), checked before any work, 141 stdout closed by its reader before
-all output was written. count answers from closed forms, which gl-counts and
-corollaryF check against enumeration.
+--max-n 1 --q 1000003), a listing of partitions (verify alpha-bij --max-n 50;
+p(n) bounds the listing, not lemma41's LR work) or a Sylow 2-subgroup order
+(verify sharp-oracle --max-n 20), checked before any work, 141 stdout closed
+by its reader before all output was written. count answers from closed forms,
+which gl-counts and corollaryF check against enumeration.
 """
 
 import argparse

@@ -10,7 +10,7 @@ from functools import cache, reduce
 from operator import or_
 
 from . import _HOMES
-from .errors import DomainError, TheoremViolationError
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 
 __all__ = _HOMES["partitions"]
 
@@ -355,6 +355,16 @@ def _partition_tuples(n):
             tails = tails[bisect_left(tails, -head, key=lambda t: -t[0]):]
         out.extend((head,) + tail for tail in tails)
     return tuple(out)
+
+
+def check_partition_count(n):
+    """Raise before a listing of the partitions of n passes the cap; p(n) is counted, not listed."""
+    counts = [1] + [0] * n  # by part size: counts[k] is p(k) with parts up to the current one
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    if counts[n] > DEFAULT_CAP:
+        raise EnumerationCapError(f"{counts[n]} partitions of {n} > cap {DEFAULT_CAP}")
 
 
 def partitions(n):

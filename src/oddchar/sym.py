@@ -13,6 +13,7 @@ defining property: the labeled character is the unique linear constituent of
 odd multiplicity in the restriction of the hook character.
 """
 
+from functools import cache
 from itertools import product
 
 from . import _HOMES
@@ -28,7 +29,7 @@ from .partitions import (
     split_by_digit,
     two_adic,
 )
-from .characters import is_odd_partition, branch_restrict, odd_partitions
+from .characters import is_odd_partition, branch_restrict
 
 __all__ = _HOMES["sym"]
 
@@ -153,10 +154,9 @@ def star_sn(lam):
 def alpha_sn(lam):
     """Strip the unique rim hook of each 2-power block size, largest first.
 
-    It moves beads, the first-column hook lengths, as rim_hooks_of_length does.
+    The strip is the oddness test: it refuses exactly the even partitions. It
+    moves beads, the first-column hook lengths, as rim_hooks_of_length does.
     """
-    if not is_odd_partition(lam):
-        raise DomainError(f"{lam} is not an odd partition")
     length = len(lam.parts)
     beads = [p + length - i for i, p in enumerate(lam.parts, 1)]  # descending
     occupied = set(beads)
@@ -165,9 +165,7 @@ def alpha_sn(lam):
         m = 1 << e
         found = [i for i, b in enumerate(beads) if b >= m and b - m not in occupied]
         if len(found) != 1:
-            raise TheoremViolationError(
-                f"{_bead_partition(beads)} has {len(found)} rim hooks of length {m}"
-            )
+            raise DomainError(f"{lam} is not an odd partition")
         i = j = found[0]
         b = beads[i]
         while j + 1 < length and beads[j + 1] > b - m:  # the leg: beads strictly between
@@ -177,27 +175,22 @@ def alpha_sn(lam):
         beads.insert(j, b - m)  # keeps the list descending
         occupied.remove(b)
         occupied.add(b - m)
-    if any(b >= length for b in beads):  # beads 0..l-1 are the empty partition
-        raise TheoremViolationError(
-            f"nonempty remainder {_bead_partition(beads)} after stripping {lam}"
-        )
     return ThetaLabel._trusted(tuple(hooks))
 
 
-def _bead_partition(beads):
-    rows = tuple([b - j for j, b in enumerate(sorted(beads)) if b > j][::-1])
-    return Partition._trusted(rows, sum(rows))
-
-
 def alpha_sn_inverse(theta):
-    """Reattach hooks from the smallest block upward; inverse of alpha_sn."""
+    """Reattach hooks from the smallest block upward; inverse of alpha_sn, odd by construction."""
     parts = ()
     for hook in reversed(theta.hooks):
         parts = _attach_parts(parts, hook.arm_count, hook.leg + 1)
-    cur = Partition._trusted(parts, theta.n)
-    if not is_odd_partition(cur):
-        raise TheoremViolationError(f"reattachment of {theta} is not odd: {cur}")
-    return cur
+    return Partition._trusted(parts, theta.n)
+
+
+@cache
+def _hook_census(n):
+    """The odd partitions of n, as alpha_sn_inverse of every hook tuple, in hook-tuple order."""
+    blocks = [[HookPartition._trusted(1 << e, leg) for leg in range(1 << e)] for e in two_adic(n)]
+    return tuple(alpha_sn_inverse(ThetaLabel._trusted(hooks)) for hooks in product(*blocks))
 
 
 def hook_to_bits(exponent, leg):
@@ -285,8 +278,7 @@ def theorem_d_star(lam, k, t):
     n = k * t
     if lam.n != n:
         raise DomainError(f"partition of {lam.n}, need {n}")
-    if not is_odd_partition(lam):
-        raise DomainError(f"{lam} is not an odd partition")
+    label = sharp_sn(lam)  # refuses an even lam
     if not wreath_index_is_odd(k, t):
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{n}")
     if t == 1:
@@ -296,7 +288,7 @@ def theorem_d_star(lam, k, t):
     c = k.bit_length() - 1
     fibers = {}
     # smallest block first, so the groups come in order of their lowest digit
-    for size, bits in reversed(sharp_sn(lam).blocks):
+    for size, bits in reversed(label.blocks):
         fibers.setdefault(bits[:c], []).append((size // k, bits[c:]))
     base = []
     top = []
@@ -309,16 +301,16 @@ def theorem_d_star(lam, k, t):
 
 
 def wreath_odd_labels(k, t):
-    """Clifford enumeration of the odd labels of S_k wr S_t: an odd psi of k per digit of t."""
+    """Clifford enumeration of S_k wr S_t's odd labels: a _hook_census psi of k per digit of t."""
     if not wreath_index_is_odd(k, t):
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{k * t}")
     labels = []
     # t_i is the sum of psi's digits; walked upward, the groups come in lowest-digit order
     digits = [1 << e for e in reversed(two_adic(t))]
-    for choice in product(odd_partitions(k), repeat=len(digits)):
+    for choice in product(_hook_census(k), repeat=len(digits)):
         shares = {}
         for psi, digit in zip(choice, digits):
             shares[psi] = shares.get(psi, 0) + digit
-        tops = product(*(odd_partitions(size) for size in shares.values()))
+        tops = product(*(_hook_census(size) for size in shares.values()))
         labels.extend(WreathOddLabel(k, t, tuple(shares.items()), top) for top in tops)
     return labels

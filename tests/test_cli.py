@@ -316,6 +316,10 @@ class _NoPool:
             "110592 labels of rank 7 x 10 actions = 1105920 checks > cap 200000",
         ),
         ("sharp-oracle", "20", "Sylow 2-subgroup of degree 20 has order 262144 > cap 200000"),
+        ("alpha-bij", "50", "204226 partitions of 50 > cap 200000"),
+        ("sn-star", "60", "204226 partitions of 50 > cap 200000"),
+        ("lemma41", "50", "204226 partitions of 50 > cap 200000"),
+        ("lemma42", "26", "239943 partitions of 51 > cap 200000"),
     ],
 )
 def test_label_sweeps_bound_the_whole_grid_first(capsys, monkeypatch, suite, max_n, message):
@@ -323,7 +327,7 @@ def test_label_sweeps_bound_the_whole_grid_first(capsys, monkeypatch, suite, max
     # run first, in this process or in a worker pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    qs = [] if suite == "sharp-oracle" else ["--q", "25"]
+    qs = ["--q", "25"] if suite in ("gl-counts", "galois-equivariance") else []
     for jobs in ("1", "2"):
         start = time.perf_counter()
         assert run_cli("verify", suite, "--max-n", max_n, *qs, "--jobs", jobs) == 4

@@ -1,12 +1,13 @@
 import importlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddchar.errors import DomainError, TheoremViolationError
+from oddchar.errors import DomainError
 from oddchar.characters import branch_restrict, is_odd_partition, odd_partitions
-from oddchar import characters, sym
+from oddchar import characters, cli, glu, omega, sym, verify
 from oddchar.partitions import (
     HookPartition,
     Partition,
@@ -124,37 +125,53 @@ def test_alpha_matches_rim_hook_strip():
 
 
 def test_alpha_error_messages(monkeypatch):
-    def message(error, fn, *args):
-        with pytest.raises(error) as err:
-            fn(*args)
+    def message(parts):
+        with pytest.raises(DomainError) as err:
+            alpha_sn(Partition(parts))
         return str(err.value)
 
-    assert message(DomainError, alpha_sn, Partition((2, 2))) == (
-        "Partition(2, 2) is not an odd partition"
-    )
-    # the theorem checks can only fail against a broken oracle or block layout
-    monkeypatch.setattr(sym, "is_odd_partition", lambda lam: True)
-    for parts, expected in [
-        ((2, 2), "Partition(2, 2) has 0 rim hooks of length 4"),
-        ((3, 2, 1), "Partition(3, 2, 1) has 0 rim hooks of length 4"),
-        ((4, 3, 1), "Partition(4, 3, 1) has 0 rim hooks of length 8"),
-    ]:
-        assert message(TheoremViolationError, alpha_sn, Partition(parts)) == expected
-    with monkeypatch.context() as patch:
-        patch.setattr(sym, "two_adic", lambda n: (1,))
-        assert message(TheoremViolationError, alpha_sn, Partition((2, 2))) == (
-            "Partition(2, 2) has 2 rim hooks of length 2"
-        )
-        patch.setattr(sym, "two_adic", lambda n: (2,))
-        assert message(TheoremViolationError, alpha_sn, Partition((3, 2))) == (
-            "nonempty remainder Partition(1,) after stripping Partition(3, 2)"
-        )
-    monkeypatch.setattr(sym, "is_odd_partition", lambda lam: False)
-    theta = ThetaLabel((HookPartition(4, 2), HookPartition(1, 0)))
-    assert message(TheoremViolationError, alpha_sn_inverse, theta) == (
-        "reattachment of ThetaLabel(hooks=(HookPartition(m=4, leg=2), HookPartition(m=1, leg=0)))"
-        " is not odd: Partition(2, 2, 1)"
-    )
+    def refuse(lam):
+        raise AssertionError("alpha_sn called the parity oracle")
+
+    assert message((2, 2)) == "Partition(2, 2) is not an odd partition"
+    # the strip is the oddness test: the oracle is never asked
+    monkeypatch.setattr(sym, "is_odd_partition", refuse)
+    for parts in [(2, 2), (3, 2, 1), (4, 3, 1)]:
+        assert message(parts) == f"Partition{parts} is not an odd partition"
+
+
+def test_alpha_bij_reports_a_refused_odd_partition(monkeypatch, capsys):
+    def planted(lam):  # refuses the odd partition (3, 1)
+        if lam == Partition((3, 1)):
+            raise DomainError(f"{lam} is not an odd partition")
+        return alpha_sn(lam)
+
+    monkeypatch.setattr(verify, "alpha_sn", planted)
+    report = verify.run_suite("alpha-bij", max_n=5).to_json()
+    assert report["failed"] >= 1
+    assert {"input": [3, 1], "expected": "hook tuple", "actual": "refused"} in report["counterexamples"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "alpha-bij", "--max-n", "5"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_alpha_strip_is_the_oddness_test():
+    for n in range(21):
+        for lam in partitions(n):
+            try:
+                alpha_sn(lam)
+            except DomainError:
+                assert not is_odd_partition(lam), lam
+            else:
+                assert is_odd_partition(lam), lam
+
+
+def test_hook_census_is_the_odd_partitions():
+    for n in range(33):
+        census = sym._hook_census(n)
+        assert len(set(census)) == len(census), n
+        assert set(census) == set(odd_partitions(n)), n
 
 
 def test_hook_maps_need_no_rim_hooks(monkeypatch):
@@ -177,6 +194,31 @@ def test_hook_maps_need_no_rim_hooks(monkeypatch):
         for hook in reversed(theta.hooks):
             cur = attach_unique_gamma(cur, hook, cur.n + hook.m)
         assert cur == lam
+
+
+def test_hook_maps_need_no_parity_oracle(monkeypatch):
+    census = odd_partitions(12)
+    thetas = [alpha_sn(lam) for lam in census]
+    sharps = [sharp_sn(lam) for lam in census]
+    labels = glu.enumerate_odd_labels(6, 3, "-")
+    images = [omega.sharp_glu(label) for label in labels]
+
+    def refuse(*args):
+        raise AssertionError("a hook map called the parity oracle")
+
+    monkeypatch.setattr(characters, "_two_adic_degree", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "oddchar" and "odd_partitions" in vars(module):
+            monkeypatch.setattr(module, "odd_partitions", refuse)
+    sym._hook_census.cache_clear()
+    omega._partition_hooks.cache_clear()
+    assert [alpha_sn(lam) for lam in census] == thetas
+    assert [alpha_sn_inverse(theta) for theta in thetas] == census
+    assert [sharp_sn(lam) for lam in census] == sharps
+    assert [sharp_sn_inverse(label) for label in sharps] == census
+    assert set(sym._hook_census(12)) == set(census)
+    assert glu.enumerate_odd_labels(6, 3, "-") == labels
+    assert [omega.sharp_glu(label) for label in labels] == images
 
 
 def test_alpha_inverse_enumeration_n6():
