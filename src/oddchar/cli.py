@@ -5,11 +5,11 @@ failures, 2 usage or domain error (including a verify sweep that checks
 nothing or is given an option it does not take), 3 violated uniqueness or
 existence guarantee (never happens on a correct build), 4 a verify sweep
 would exceed the element cap: a label enumeration (e.g. verify gl-counts
---max-n 1 --q 1000003), a listing of partitions (verify alpha-bij --max-n 50;
-p(n) bounds the listing, not lemma41's LR work) or a Sylow 2-subgroup order
-(verify sharp-oracle --max-n 20), checked before any work, 141 stdout closed
-by its reader before all output was written. count answers from closed forms,
-which gl-counts and corollaryF check against enumeration.
+--max-n 1 --q 1000003), a listing of partitions (verify alpha-bij or theoremD
+--max-n 50; p(n) bounds the listing, not lemma41's LR work) or a Sylow
+2-subgroup order (verify sharp-oracle --max-n 20), checked before any work,
+141 stdout closed by its reader before all output was written. count answers
+from closed forms, which gl-counts and corollaryF check against enumeration.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import gc
 import json
 import os
 import sys
+from functools import cache
 
 # Only what every command needs loads here; each branch of run() imports the
 # modules its command runs, so a launch pays for no other module.
@@ -137,8 +138,18 @@ def build_parser(argv=()):
     every subparser, so its help and errors list them all. The explicit metavar
     keeps the top-level usage line of a one-command parser the same; the full
     parser has none, so a missing command is still reported as "command".
+
+    Each parser is built once per process and shared by every later call that
+    selects it, so a caller must not modify it. Sharing is safe for parsing:
+    parse_args keeps its state in a fresh Namespace, and the help formatter
+    (which reads COLUMNS) is built each time usage or help is printed.
     """
     only = argv[0] if argv and argv[0] in COMMANDS else None
+    return _parser(only)
+
+
+@cache
+def _parser(only):
     parser = _Parser(prog="oddchar", description=__doc__.splitlines()[0])
     metavar = "{" + ",".join(COMMANDS) + "}" if only else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)

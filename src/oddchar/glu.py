@@ -311,7 +311,9 @@ def sl_correspondence_data(label):
 
 
 def sl_label_census(n, q):
-    """Number of odd SL labels: orbits of simultaneous residue translation."""
+    """Number of odd SL labels at odd rank: orbits of simultaneous residue translation."""
+    if n % 2 == 0:
+        raise DomainError("need odd rank n")
     labels = enumerate_odd_labels(n, q, "+")
     mod = kappa_q("+", q).modulus
     seen = set()

@@ -275,11 +275,12 @@ def theorem_d_star(lam, k, t):
     the remaining levels give the top label; keying each digit of t on its
     base label and inverting sharp per group yields the (base, top) pair.
     """
+    odd_index = wreath_index_is_odd(k, t)  # refuses k or t < 1
     n = k * t
     if lam.n != n:
         raise DomainError(f"partition of {lam.n}, need {n}")
     label = sharp_sn(lam)  # refuses an even lam
-    if not wreath_index_is_odd(k, t):
+    if not odd_index:
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{n}")
     if t == 1:
         return WreathOddLabel(k, 1, ((lam, 1),), (Partition._trusted((1,), 1),))

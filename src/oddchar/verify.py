@@ -283,12 +283,13 @@ def _check_theorem_d(pair):
 
 
 def suite_theorem_d(max_n=8, jobs=1):
-    pairs = [
-        (k, t)
-        for k in range(1, max_n + 1)
-        for t in range(2, max_n + 1)
-        if k * t <= max_n and wreath_index_is_odd(k, t)
-    ]
+    # each pair lists the partitions of k*t; the first over the cap ends the listing
+    pairs = []
+    for k in range(1, max_n + 1):
+        for t in range(2, max_n // k + 1):
+            if wreath_index_is_odd(k, t):
+                check_partition_count(k * t)
+                pairs.append((k, t))
     return _sweep("theoremD", {"max_n": max_n, "pairs": pairs}, pairs, _check_theorem_d, jobs)
 
 

@@ -218,6 +218,13 @@ def test_wreath_and_young(capsys):
     assert run_cli("wreath-star", "4,1,1", "--k", "3", "--t", "2") == 2
 
 
+@pytest.mark.parametrize("k, t", [("0", "4"), ("-2", "-2")])
+def test_wreath_star_names_a_nonpositive_k_or_t(capsys, k, t):
+    # checked before the size of the partition, which k * t would misreport
+    assert run_cli("wreath-star", "4", "--k", k, "--t", t) == 2
+    assert capsys.readouterr().err == "error: k and t must be positive\n"
+
+
 def test_wreath_star_refuses_a_huge_even_index():
     # the index (10^6)! / (1000!^1000 * 1000!) is decided without forming it
     argv = ["wreath-star", "--k", "1000", "--t", "1000", "1000000"]
@@ -320,6 +327,7 @@ class _NoPool:
         ("sn-star", "60", "204226 partitions of 50 > cap 200000"),
         ("lemma41", "50", "204226 partitions of 50 > cap 200000"),
         ("lemma42", "26", "239943 partitions of 51 > cap 200000"),
+        ("theoremD", "50", "204226 partitions of 50 > cap 200000"),
     ],
 )
 def test_label_sweeps_bound_the_whole_grid_first(capsys, monkeypatch, suite, max_n, message):
@@ -519,6 +527,73 @@ def test_parser_filter_is_exact(argv):
 def test_parser_for_a_command_builds_only_that_command():
     code, _, _, err = _parsed(cli.build_parser(["star"]), ["alpha", "3"])
     assert code == 2 and "invalid choice: 'alpha'" in err
+
+
+def test_build_parser_shares_one_parser_per_command():
+    star = cli.build_parser(["star", "3"])
+    assert star is cli.build_parser(["star", "2,1"])
+    full = cli.build_parser([])
+    assert full is cli.build_parser(["-h"]) is cli.build_parser(["x"])
+    assert full is not star
+
+
+def test_main_builds_each_parser_once(monkeypatch, capsys):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv in [["-h"], *([name, "-h"] for name in cli.COMMANDS)] * 2:
+        assert run_cli(*argv) == 0
+    # the subparsers are _Parser instances too; only the top-level ones are named "oddchar"
+    assert progs.count("oddchar") == len(cli.COMMANDS) + 1
+
+
+_REPLAYED = [
+    ["star", "3"],
+    ["star", "2,2"],  # DomainError
+    ["sharp", "5,1,1"],
+    ["wreath-star", "4", "--k", "2", "--t", "2"],
+    ["count", "gl", "--n", "3"],  # DomainError: no --q
+    ["count", "gl", "--n", "3", "--q", "5"],
+    ["parabolic-star", "--q", "3", "--pairs", "s=0:l=1", "--kappa", "x"],
+    ["young-star", "3"],  # a required option missing
+    ["verify", "lemma41", "--max-n", "4"],
+    ["x"],
+    ["-h"],
+    ["star", "-h"],
+    ["star", "3", "--extra"],
+]
+
+
+def _replay(fresh):
+    results = []
+    for argv in _REPLAYED:
+        if fresh:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+        results.append((info.value.code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_shared_parsers_keep_no_state_between_calls(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    first = _replay(fresh=False)
+    assert {code for code, _, _ in first} == {0, 2}
+    assert _replay(fresh=False) == first
+    assert _replay(fresh=True) == first
+    # usage and help are laid out when printed, so a shared parser follows COLUMNS
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _replay(fresh=False)
+    assert narrow != first and narrow == _replay(fresh=True)
 
 
 def test_missing_command_is_named_command(capsys):

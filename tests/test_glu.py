@@ -240,6 +240,13 @@ def test_sl_census_identity():
             assert sl_label_census(n, q) == total // (q - 1)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_sl_census_refuses_even_rank(n):
+    # the translation orbits undercount at even rank: 2 for n = 2 (q = 3, 5, 7), where 4 is true
+    with pytest.raises(DomainError, match="^need odd rank n$"):
+        sl_label_census(n, 3)
+
+
 def test_sl_flag_always_true_on_odd_labels():
     for n in (3, 5, 7):
         for label in enumerate_odd_labels(n, 5, "+"):
