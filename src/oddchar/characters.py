@@ -28,8 +28,8 @@ form above is used, so the step never walks a chain of tails. The census
 odd_partitions(n) decides every partition of n, so a census filled for
 ascending n takes the step on all of them.
 
-The parity oracle computes its own b_i and calls no rim-hook code; nor do
-alpha_sn and the hook attachment, which move their own b_i.
+The oracle computes its own b_i and calls no rim-hook code. Only verify and
+the tests call it: sym's bead strip and the hook attachment move their own b_i.
 """
 
 import math

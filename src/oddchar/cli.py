@@ -53,7 +53,7 @@ def parse_pairs(text):
         if not chunk:
             continue
         items = [item.split("=", 1) for item in chunk.split(":")]
-        if any(len(item) != 2 for item in items) or {key for key, _ in items} != {"s", "l"}:
+        if any(len(item) != 2 for item in items) or sorted(key for key, _ in items) != ["l", "s"]:
             raise DomainError(f"bad pair {chunk!r}: need s=INT:l=PARTS")
         fields = dict(items)
         try:

@@ -20,8 +20,7 @@ from .partitions import (
     odd_multinomial_order,
     two_adic,
 )
-from .characters import is_odd_partition
-from .sym import _hook_census, star_sn
+from .sym import _hook_census, _strip, star_sn
 
 __all__ = _HOMES["glu"]
 
@@ -202,9 +201,8 @@ def is_odd_label(label):
 
 @cache
 def _is_odd_shape(shape):
-    if any(not is_odd_partition(lam) for lam in shape):
-        return False
-    return odd_multinomial_order([lam.n for lam in shape]) is not None
+    odd = all(_strip(lam) is not None for lam in shape)
+    return odd and odd_multinomial_order([lam.n for lam in shape]) is not None
 
 
 def canonical_order(label):
@@ -285,7 +283,7 @@ def enumerate_odd_labels(n, q, kappa):
 
 
 def count_odd_irr_gl(n, q, kappa):
-    """Census of odd labels by enumeration; every label is re-checked for oddness."""
+    """Census of odd labels by enumeration; every label is re-checked through the bead strip."""
     labels = enumerate_odd_labels(n, q, kappa)
     if len(set(labels)) != len(labels):  # the set is freed before the oddness pass
         raise TheoremViolationError("label enumeration produced duplicates")

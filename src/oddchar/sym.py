@@ -3,7 +3,8 @@
 The star map (unique odd branch), the hook-tuple coordinates of odd
 partitions, the linear-character labels of Sylow 2-subgroups, the Young
 subgroup correspondence and the wreath-product correspondence for maximal
-subgroups of odd index.
+subgroups of odd index. One bead strip decides oddness for all of them and
+for the validators; none of them calls the parity oracle of characters.py.
 
 Linear characters of the iterated wreath tower on 2**m points are encoded by
 m bits, one per tower level (bit 0 = pair level). The hook <-> bits rule is
@@ -29,7 +30,6 @@ from .partitions import (
     split_by_digit,
     two_adic,
 )
-from .characters import is_odd_partition, branch_restrict
 
 __all__ = _HOMES["sym"]
 
@@ -122,12 +122,12 @@ class WreathOddLabel(Value):
         if len(set(psis)) != len(psis):
             raise DomainError("base partitions must be pairwise distinct")
         for psi in psis:
-            if psi.n != self.k or not is_odd_partition(psi):
+            if psi.n != self.k or _strip(psi) is None:
                 raise DomainError(f"{psi} is not an odd partition of {self.k}")
         if len(self.top) != len(self.base):
             raise DomainError("need one top partition per base entry")
         for alpha, (_, t_i) in zip(self.top, self.base):
-            if alpha.n != t_i or not is_odd_partition(alpha):
+            if alpha.n != t_i or _strip(alpha) is None:
                 raise DomainError(f"{alpha} is not an odd partition of {t_i}")
 
     def to_json(self):
@@ -139,43 +139,70 @@ class WreathOddLabel(Value):
         }
 
 
-def star_sn(lam):
-    """The unique odd-degree branch of an odd partition."""
-    if lam.n < 2:
-        raise DomainError("need n >= 2")
-    if not is_odd_partition(lam):
-        raise DomainError(f"{lam} is not an odd partition")
-    odd = [mu for mu in branch_restrict(lam) if is_odd_partition(mu)]
-    if len(odd) != 1:
-        raise TheoremViolationError(f"{lam} has {len(odd)} odd branches")
-    return odd[0]
+def _strip(lam):
+    """Per 2-power block of n, largest first, the step (b, m, leg) moving bead b to b - m.
 
-
-def alpha_sn(lam):
-    """Strip the unique rim hook of each 2-power block size, largest first.
-
-    The strip is the oddness test: it refuses exactly the even partitions. It
-    moves beads, the first-column hook lengths, as rim_hooks_of_length does.
+    None exactly on the even partitions, where some block has other than one movable
+    bead. Beads are the first-column hook lengths, as in rim_hooks_of_length.
     """
     length = len(lam.parts)
     beads = [p + length - i for i, p in enumerate(lam.parts, 1)]  # descending
     occupied = set(beads)
-    hooks = []
+    steps = []
     for e in two_adic(lam.n):
         m = 1 << e
-        found = [i for i, b in enumerate(beads) if b >= m and b - m not in occupied]
-        if len(found) != 1:
-            raise DomainError(f"{lam} is not an odd partition")
-        i = j = found[0]
+        found = None
+        for i, b in enumerate(beads):  # descending: stop below m or at a second candidate
+            if b < m:
+                break
+            if b - m not in occupied:
+                if found is not None:
+                    return None
+                found = i
+        if found is None:
+            return None
+        i = j = found
         b = beads[i]
         while j + 1 < length and beads[j + 1] > b - m:  # the leg: beads strictly between
             j += 1
-        hooks.append(HookPartition._trusted(m, j - i))
+        steps.append((b, m, j - i))
         del beads[i]
         beads.insert(j, b - m)  # keeps the list descending
         occupied.remove(b)
         occupied.add(b - m)
-    return ThetaLabel._trusted(tuple(hooks))
+    return steps
+
+
+def star_sn(lam):
+    """The unique odd-degree branch of an odd partition: one bead steps down by one.
+
+    The lowest hook H(2**k, a) keeps its branch of even leg: its top bead steps, or for
+    odd a the bead above its foot. The walk carries that bead back up through the strip.
+    """
+    if lam.n < 2:
+        raise DomainError("need n >= 2")
+    steps = _strip(lam)
+    if steps is None:
+        raise DomainError(f"{lam} is not an odd partition")
+    *higher, (y, m, a) = steps
+    if a % 2:
+        y -= m - 1
+    for b, m, _ in reversed(higher):
+        if y == b - m:
+            y = b
+        elif y == b + 1:
+            y -= m
+    length = len(lam.parts)
+    parts = [p - (p + length - i == y) for i, p in enumerate(lam.parts, 1)]
+    return Partition._trusted(tuple(filter(None, parts)), lam.n - 1)  # only the last row can empty
+
+
+def alpha_sn(lam):
+    """Strip the unique rim hook of each 2-power block size, largest first; refuses even lam."""
+    steps = _strip(lam)
+    if steps is None:
+        raise DomainError(f"{lam} is not an odd partition")
+    return ThetaLabel._trusted(tuple(HookPartition._trusted(m, leg) for _, m, leg in steps))
 
 
 def alpha_sn_inverse(theta):
@@ -283,7 +310,7 @@ def theorem_d_star(lam, k, t):
     if not odd_index:
         raise DomainError(f"S_{k} wr S_{t} does not have odd index in S_{n}")
     if t == 1:
-        return WreathOddLabel(k, 1, ((lam, 1),), (Partition._trusted((1,), 1),))
+        return WreathOddLabel._trusted(k, 1, ((lam, 1),), (Partition._trusted((1,), 1),))
     if k & (k - 1):
         raise TheoremViolationError(f"odd index with t >= 2 forces a 2-power k, got {k}")
     c = k.bit_length() - 1
@@ -298,7 +325,7 @@ def theorem_d_star(lam, k, t):
         alpha = sharp_sn_inverse(SylowLinearLabel(tuple(reversed(members))))
         base.append((psi, alpha.n))
         top.append(alpha)
-    return WreathOddLabel(k, t, tuple(base), tuple(top))
+    return WreathOddLabel._trusted(k, t, tuple(base), tuple(top))
 
 
 def wreath_odd_labels(k, t):
@@ -313,5 +340,5 @@ def wreath_odd_labels(k, t):
         for psi, digit in zip(choice, digits):
             shares[psi] = shares.get(psi, 0) + digit
         tops = product(*(_hook_census(size) for size in shares.values()))
-        labels.extend(WreathOddLabel(k, t, tuple(shares.items()), top) for top in tops)
+        labels.extend(WreathOddLabel._trusted(k, t, tuple(shares.items()), top) for top in tops)
     return labels

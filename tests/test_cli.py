@@ -59,12 +59,12 @@ def test_parse_pairs():
     assert pairs == ((1, Partition((2, 2, 1))), (0, Partition((1,))))
     with pytest.raises(DomainError):
         parse_pairs("s=1")
-    for text in ("s1", "s=a:l=1"):
+    for text in ("s1", "s=a:l=1", "s=1:s=2:l=1", "s=1:l=1:l=2"):
         with pytest.raises(DomainError):
             parse_pairs(text)
 
 
-@pytest.mark.parametrize("text", ["s1", "s=a:l=1"])
+@pytest.mark.parametrize("text", ["s1", "s=a:l=1", "s=1:s=2:l=1", "s=1:l=1:l=2"])
 def test_malformed_pairs_exit_usage(capsys, text):
     assert run_cli("sharp-glu", "--q", "3", "--pairs", text) == 2
     captured = capsys.readouterr()
@@ -718,8 +718,11 @@ def _loaded_after(*argv):
 def test_cli_loads_only_the_modules_a_command_runs():
     core = {"oddchar", "oddchar.errors", "oddchar.partitions"}
     assert _loaded_after() == core
-    star = {"oddchar.characters", "oddchar.sym", "oddchar.cli"}
+    star = {"oddchar.sym", "oddchar.cli"}
     assert _loaded_after("star", "3,1") == core | star
+    # the bead strip decides oddness: only verify loads the parity oracle
+    for argv in ("wreath-star 4 --k 2 --t 2", "parabolic-star --q 3 --pairs s=1:l=3"):
+        assert "oddchar.characters" not in _loaded_after(*argv.split()), argv
     loaded = _loaded_after("count", "gl", "--n", "5", "--q", "5")
     assert not loaded & {"oddchar.omega", "oddchar.verify", "oddchar.permgroups", *HEAVY}
     loaded = _loaded_after("sharp-glu", "--q", "3", "--pairs", "s=1:l=2,2,1")

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from oddchar.partitions import (
     HookPartition,
     Partition,
     attach_unique_gamma,
+    conjugate_parts,
     partitions,
     rim_hooks_of_length,
     two_adic,
@@ -46,11 +48,16 @@ def test_star_examples():
 
 
 def test_star_uniqueness_sweep():
-    for n in range(2, 13):
-        for lam in odd_partitions(n):
-            odd = [mu for mu in branch_restrict(lam) if is_odd_partition(mu)]
-            assert len(odd) == 1
-            assert star_sn(lam) == odd[0]
+    rng = random.Random(0)
+    large = []  # seeded random odd partitions, built from hook tuples
+    for n in (100, 255, 256, 1000):
+        for _ in range(5):
+            hooks = tuple(HookPartition(1 << e, rng.randrange(1 << e)) for e in two_adic(n))
+            large.append(alpha_sn_inverse(ThetaLabel(hooks)))
+    for lam in [lam for n in range(2, 25) for lam in odd_partitions(n)] + large:
+        odd = [mu for mu in branch_restrict(lam) if is_odd_partition(mu)]
+        assert len(odd) == 1, lam
+        assert star_sn(lam) == odd[0], lam
 
 
 def test_star_bijective_for_odd_n():
@@ -130,14 +137,47 @@ def test_alpha_error_messages(monkeypatch):
             alpha_sn(Partition(parts))
         return str(err.value)
 
-    def refuse(lam):
+    def refuse(*args):
         raise AssertionError("alpha_sn called the parity oracle")
 
     assert message((2, 2)) == "Partition(2, 2) is not an odd partition"
     # the strip is the oddness test: the oracle is never asked
-    monkeypatch.setattr(sym, "is_odd_partition", refuse)
+    monkeypatch.setattr(characters, "_two_adic_degree", refuse)
     for parts in [(2, 2), (3, 2, 1), (4, 3, 1)]:
         assert message(parts) == f"Partition{parts} is not an odd partition"
+
+
+# Dropping the odd branch (3, 1) of (3, 2) leaves the oracle none; putting the odd
+# (2, 1, 1) in its place fools sn-star unless star_sn is built apart from the oracle.
+@pytest.mark.parametrize("swap", [(), (Partition((2, 1, 1)),)], ids=["drop", "swap"])
+def test_sn_star_reports_a_planted_branch_fault(monkeypatch, capsys, swap):
+    true_branch = branch_restrict
+
+    def planted(lam):
+        out = true_branch(lam)
+        if lam == Partition((3, 2)):
+            out = [mu for mu in out if mu != Partition((3, 1))] + list(swap)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "oddchar" and "branch_restrict" in vars(module):
+            monkeypatch.setattr(module, "branch_restrict", planted)
+    assert verify.run_suite("sn-star", max_n=6).to_json()["failed"] == 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "sn-star", "--max-n", "6"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_sn_star_reports_a_planted_star_fault(monkeypatch):
+    def planted(lam):  # the conjugate of the true branch at (3, 2)
+        mu = star_sn(lam)
+        return Partition(conjugate_parts(mu.parts)) if lam == Partition((3, 2)) else mu
+
+    monkeypatch.setattr(verify, "star_sn", planted)
+    report = verify.run_suite("sn-star", max_n=6).to_json()
+    assert report["failed"] == 1
+    assert report["counterexamples"][0]["input"] == [3, 2]
 
 
 def test_alpha_bij_reports_a_refused_odd_partition(monkeypatch, capsys):
@@ -196,22 +236,49 @@ def test_hook_maps_need_no_rim_hooks(monkeypatch):
         assert cur == lam
 
 
+def _fields(value):
+    return tuple(getattr(value, name) for name in value.__slots__)
+
+
 def test_hook_maps_need_no_parity_oracle(monkeypatch):
     census = odd_partitions(12)
     thetas = [alpha_sn(lam) for lam in census]
     sharps = [sharp_sn(lam) for lam in census]
+    stars = [star_sn(lam) for lam in census]
     labels = glu.enumerate_odd_labels(6, 3, "-")
     images = [omega.sharp_glu(label) for label in labels]
+    plus = glu.enumerate_odd_labels(6, 3, "+")
+    parabolic = [glu.parabolic_star(label) for label in plus]
+    ordered = [glu.canonical_order(label) for label in plus]
+    gl_count = glu.count_odd_irr_gl(6, 3, "+")
+    even = glu.GLabel("+", 3, ((1, Partition((2, 2))),))
+    wreath = [theorem_d_star(lam, 4, 3) for lam in census]
+    wreath_labels = sym.wreath_odd_labels(4, 3)
 
     def refuse(*args):
         raise AssertionError("a hook map called the parity oracle")
 
     monkeypatch.setattr(characters, "_two_adic_degree", refuse)
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "oddchar" and "odd_partitions" in vars(module):
-            monkeypatch.setattr(module, "odd_partitions", refuse)
+        for oracle in ("odd_partitions", "branch_restrict"):
+            if name.partition(".")[0] == "oddchar" and oracle in vars(module):
+                monkeypatch.setattr(module, oracle, refuse)
     sym._hook_census.cache_clear()
     omega._partition_hooks.cache_clear()
+    glu._is_odd_shape.cache_clear()
+    assert [star_sn(lam) for lam in census] == stars
+    assert [glu.parabolic_star(label) for label in plus] == parabolic
+    assert [glu.canonical_order(label) for label in plus] == ordered
+    assert all(glu.is_odd_label(label) for label in plus)
+    assert not glu.is_odd_label(even)
+    with pytest.raises(DomainError):
+        glu.canonical_order(even)
+    assert glu.count_odd_irr_gl(6, 3, "+") == gl_count
+    assert [sym.WreathOddLabel(*_fields(label)) for label in wreath] == wreath
+    with pytest.raises(DomainError):
+        sym.WreathOddLabel(4, 1, ((Partition((2, 2)), 1),), (Partition((1,)),))
+    assert [theorem_d_star(lam, 4, 3) for lam in census] == wreath
+    assert sym.wreath_odd_labels(4, 3) == wreath_labels
     assert [alpha_sn(lam) for lam in census] == thetas
     assert [alpha_sn_inverse(theta) for theta in thetas] == census
     assert [sharp_sn(lam) for lam in census] == sharps
@@ -440,6 +507,17 @@ def test_theorem_d_bijections():
         target = wreath_odd_labels(k, t)
         assert len(target) == count_odd_irr_sn(n)
         assert set(images) == set(target)
+
+
+def test_wreath_builders_pass_the_public_constructor():
+    # both build WreathOddLabel._trusted; each output must survive every check
+    for k in range(1, 17):
+        for t in range(1, 16 // k + 1):
+            if not wreath_index_is_odd(k, t):
+                continue
+            images = [theorem_d_star(lam, k, t) for lam in odd_partitions(k * t)]
+            for label in wreath_odd_labels(k, t) + images:
+                assert sym.WreathOddLabel(*_fields(label)) == label, (k, t, label)
 
 
 def test_theorem_d_d8_identity():
