@@ -38,7 +38,7 @@ from operator import lt, sub
 
 from . import _HOMES
 from .errors import DomainError
-from .partitions import Partition, _partition_tuples, conjugate_parts, rim_hooks_of_length
+from .partitions import Partition, _partition_tuples, _rim_hooks, conjugate_parts
 
 __all__ = _HOMES["characters"]
 
@@ -111,11 +111,11 @@ def odd_partitions(n):
 def _mn(lam_parts, mu_parts):
     if not mu_parts:
         return 1
-    lam = Partition._trusted(lam_parts, sum(lam_parts))
-    c, rest = mu_parts[0], mu_parts[1:]
+    rest = mu_parts[1:]
     total = 0
-    for hook, remainder in rim_hooks_of_length(lam, c):
-        total += (-1) ** hook.leg * _mn(remainder.parts, rest)
+    for leg, remainder in _rim_hooks(lam_parts, mu_parts[0]):
+        v = _mn(remainder, rest)
+        total += -v if leg & 1 else v
     return total
 
 

@@ -269,18 +269,29 @@ def rim_hooks_of_length(lam, m):
     returns (hook type, partition after removal) pairs in reading order of
     the corner cells, at most one per row. The hook type HookPartition(m, leg)
     spans leg + 1 rows, and the hook's cells are the skew diagram lam/remainder.
+    """
+    if m < 1:
+        raise DomainError("m must be positive")
+    n = lam.n - m
+    out = []
+    for leg, rest in _rim_hooks(lam.parts, m):
+        out.append((HookPartition._trusted(m, leg), Partition._trusted(rest, n)))
+    return out
+
+
+def _rim_hooks(parts, m):
+    """Yield (leg, remainder parts) for each rim m-hook of the tuple parts, m >= 1.
 
     It works on the first-column hook lengths b_i = lam_i + l - i of the l
     rows, which strictly decrease. A rim m-hook has its corner in row i
     exactly when b_i - m >= 0 is not another b_k; its leg is the number of
     b_k strictly between b_i - m and b_i, and removing it replaces b_i by
-    b_i - m. One pass over the rows finds them all.
+    b_i - m. One pass over the rows finds them all, in row order.
     """
-    if m < 1:
-        raise DomainError("m must be positive")
-    out = []
-    parts = lam.parts
     length = len(parts)
+    if not length or parts[0] + length - 1 < m:
+        return  # b_1 is the longest hook: no rim hook is as long as m
+    size = sum(parts) - m
     beta = [p + length - i for i, p in enumerate(parts, 1)]
     below = 0  # the first row whose b is at most the current b_i - m
     for i, b in enumerate(beta):
@@ -293,15 +304,15 @@ def rim_hooks_of_length(lam, m):
             continue
         # the hook spans rows i..below-1 (0-indexed); the last of them is left
         # with b = target, so it keeps target - (length - below) = j - 1 cells
-        leg = below - 1 - i
         j = target - length + below + 1
-        rest = parts[:i] + tuple([p - 1 for p in parts[i + 1 : below]]) + (j - 1,) + parts[below:]
+        passed = parts[i + 1 : below]  # each moves up a row, one cell shorter
+        if passed:  # empty for a hook in one row, which is common: skip the comprehension
+            passed = tuple([p - 1 for p in passed])
+        rest = parts[:i] + passed + (j - 1,) + parts[below:]
         if j == 1:  # the hook ends in the first column: drop the emptied rows
             rest = tuple([p for p in rest if p > 0])
-        remainder = Partition._trusted(rest, sum(rest))
-        assert remainder.n == lam.n - m
-        out.append((HookPartition._trusted(m, leg), remainder))
-    return out
+        assert sum(rest) == size
+        yield below - 1 - i, rest
 
 
 def m_core(lam, m):

@@ -5,15 +5,26 @@ n, with P_1 = 1 and P_{2m} = P_m wr C_2. A linear character of P is one sign
 per tower level, so nothing is enumerated: a recursion over the towers sums
 every linear character over the elements of each cycle type, and the
 restriction multiplicities are exact inner products of those sums with the
-Murnaghan-Nakayama values. Only the group structure and mn_value enter; the
-oracle is deliberately independent of the wreath-tower labelling used by the
-correspondence modules (alpha_sn, hook_to_bits, the Gray code).
+Murnaghan-Nakayama values.
+
+The inner products for all linear characters come from one big-integer sum.
+Each cycle type's row of class sums is packed into one int, one k-bit slot per
+character, and the slots of sum_t chi(t) * row_t are read back, signed,
+lowest first. A slot holds at most |P| chi(1) <= |P| isqrt(n!) in absolute
+value, so k = bitlen(|P| isqrt(n!)) + 1 is fixed per group and fits every
+character; the remainder left above the last slot must be 0, and is checked.
+
+Only the group structure and mn_value enter; the oracle is deliberately
+independent of the wreath-tower labelling used by the correspondence modules
+(alpha_sn, hook_to_bits, the Gray code).
 """
 
+import math
 from functools import cache, cached_property
+from operator import mul
 
 from . import _HOMES
-from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .characters import mn_value
 from .partitions import Partition, two_adic
 
@@ -91,9 +102,13 @@ class Sylow2Subgroup:
             start += 1 << e
         self.generators = tuple(gens)
 
-    def on_generators(self, mask):
-        """Values of the linear character phi_mask on the generator list."""
-        return tuple(-1 if mask >> b & 1 else 1 for b in self._mask_bits)
+    @cached_property
+    def _mask_values(self):
+        """The values of phi_mask on the generator list, by mask."""
+        return tuple(
+            tuple(-1 if mask >> b & 1 else 1 for b in self._mask_bits)
+            for mask in range(1 << len(self._mask_bits))
+        )
 
     @cached_property
     def class_sums(self):
@@ -111,6 +126,18 @@ class Sylow2Subgroup:
                     _add(merged, _union(t1, t2), [a * b for b in r2 for a in r1])
             sums = merged
         return {Partition._trusted(t, self.degree): row for t, row in sums.items()}
+
+    @cached_property
+    def _packed_sums(self):
+        """(k, cycle types, rows): class_sums with row S_t packed as sum_w S_t[w] * 2**(k*w).
+
+        Slot w of sum_t chi(t) * row_t is sum_x chi(x) phi_w(x) over the group,
+        at most |P| chi(1) <= |P| isqrt(n!) in absolute value, as the squared
+        degrees sum to n!; k - 1 bits hold that and the top bit the sign.
+        """
+        k = (self.order * math.isqrt(math.factorial(self.degree))).bit_length() + 1
+        rows = [sum(v << k * w for w, v in enumerate(row)) for row in self.class_sums.values()]
+        return k, tuple(self.class_sums), tuple(rows)
 
 
 def sylow2_subgroup(n):
@@ -134,20 +161,25 @@ def restriction_multiplicities(lam, group):
 
     The exact inner products (1/|P|) sum_t chi(t) S_t[mask] for all masks at
     once, where S_t is the group's class-sum row at cycle type t and chi(t)
-    the Murnaghan-Nakayama value. Returns (values-on-generators,
-    multiplicity) pairs in mask order.
+    the Murnaghan-Nakayama value: one sum of chi(t) times the packed rows,
+    read back one signed k-bit slot per mask, lowest first. Returns
+    (values-on-generators, multiplicity) pairs in mask order.
     """
     if lam.n != group.degree:
         raise DomainError(f"partition of {lam.n} vs group of degree {group.degree}")
-    totals = [0] * (1 << sum(group.blocks))
-    for t, row in group.class_sums.items():
-        chi = mn_value(lam, t)
-        if chi:
-            for w, v in enumerate(row):
-                totals[w] += chi * v
+    k, types, rows = group._packed_sums
+    total = sum(map(mul, [mn_value(lam, t) for t in types], rows))
+    low, half, order = (1 << k) - 1, 1 << (k - 1), group.order
     out = []
-    for mask, total in enumerate(totals):
-        if total % group.order:
-            raise DomainError(f"nonintegral inner product {total}/{group.order}")
-        out.append((group.on_generators(mask), total // group.order))
+    for values in group._mask_values:
+        slot = total & low
+        total >>= k
+        if slot >= half:  # a negative slot borrowed one from the slots above
+            slot -= 1 << k
+            total += 1
+        if slot % order:
+            raise DomainError(f"nonintegral inner product {slot}/{order}")
+        out.append((values, slot // order))
+    if total:
+        raise TheoremViolationError(f"inner products overflow their {k}-bit slots")
     return out

@@ -143,7 +143,7 @@ def _strip(lam):
     """Per 2-power block of n, largest first, the step (b, m, leg) moving bead b to b - m.
 
     None exactly on the even partitions, where some block has other than one movable
-    bead. Beads are the first-column hook lengths, as in rim_hooks_of_length.
+    bead. Beads are the first-column hook lengths, as in partitions._rim_hooks.
     """
     length = len(lam.parts)
     beads = [p + length - i for i, p in enumerate(lam.parts, 1)]  # descending

@@ -178,8 +178,10 @@ def test_parity_oracle_needs_no_rim_hooks(monkeypatch):
 
     # the package attribute oddchar.partitions is the function; this is the module
     partitions_module = importlib.import_module("oddchar.partitions")
-    monkeypatch.setattr(partitions_module, "rim_hooks_of_length", refuse)
-    monkeypatch.setattr(characters, "rim_hooks_of_length", refuse)
+    # both the public wrapper and the tuple core that it and _mn share
+    for name in ("rim_hooks_of_length", "_rim_hooks"):
+        monkeypatch.setattr(partitions_module, name, refuse)
+        monkeypatch.setattr(characters, name, refuse, raising=False)
     # decide parity afresh, not from the valuations or censuses of earlier tests
     characters._nu2_degree.clear()
     characters._odd_census.cache_clear()

@@ -1,7 +1,7 @@
 import pytest
 
 from oddchar import permgroups
-from oddchar.errors import EnumerationCapError
+from oddchar.errors import DomainError, EnumerationCapError, TheoremViolationError
 from oddchar.characters import degree, mn_value, odd_partitions
 from oddchar.partitions import Partition, partitions, two_adic
 from oddchar.permgroups import DEFAULT_CAP, restriction_multiplicities, sylow2_subgroup
@@ -226,3 +226,45 @@ def test_sylow_order_checked_against_cap_before_enumeration(monkeypatch):
         sylow2_subgroup(8)
     monkeypatch.setattr(permgroups, "DEFAULT_CAP", 128)
     assert sylow2_subgroup(8).order == 128
+
+
+def double_loop_multiplicities(lam, group):
+    """The inner products from group.class_sums, one cycle type and one mask at a time."""
+    totals = [0] * len(next(iter(group.class_sums.values())))
+    for t, row in group.class_sums.items():
+        chi = mn_value(lam, t)
+        for w, v in enumerate(row):
+            totals[w] += chi * v
+    assert all(total % group.order == 0 for total in totals)
+    return [total // group.order for total in totals]
+
+
+def test_packed_inner_products_match_the_double_loop(monkeypatch):
+    def packed(lam, group):
+        return [mult for _, mult in restriction_multiplicities(lam, group)]
+
+    for n in range(1, 15):
+        group = sylow2_subgroup(n)
+        for lam in partitions(n):
+            assert packed(lam, group) == double_loop_multiplicities(lam, group), lam
+    # 64 masks, and degrees up to the largest odd one at n = 20
+    monkeypatch.setattr(permgroups, "DEFAULT_CAP", 1 << 18)
+    group = sylow2_subgroup(20)
+    for lam in odd_partitions(20):
+        assert packed(lam, group) == double_loop_multiplicities(lam, group), lam
+
+
+def test_packed_slots_keep_their_sign(monkeypatch):
+    group = sylow2_subgroup(12)
+    identity = Partition((1,) * 12)
+    lam = Partition((12,))
+    # every slot holds -1: the lowest one must read -1, not 2**k - 1
+    monkeypatch.setattr(permgroups, "mn_value", lambda lam, t: -1 if t == identity else 0)
+    with pytest.raises(DomainError, match=f"nonintegral inner product -1/{group.order}$"):
+        restriction_multiplicities(lam, group)
+    # every slot holds |P| * 2**k, too wide for its k bits: each reads as |P|
+    # in the slot above, and the top slot's excess is left over
+    big = group.order << group._packed_sums[0]
+    monkeypatch.setattr(permgroups, "mn_value", lambda lam, t: big if t == identity else 0)
+    with pytest.raises(TheoremViolationError):
+        restriction_multiplicities(lam, group)

@@ -223,9 +223,12 @@ def test_hook_maps_need_no_rim_hooks(monkeypatch):
         raise AssertionError("a hook map called rim_hooks_of_length")
 
     # the package attribute oddchar.partitions is the function; this is the module
-    monkeypatch.setattr(importlib.import_module("oddchar.partitions"), "rim_hooks_of_length", refuse)
-    monkeypatch.setattr(characters, "rim_hooks_of_length", refuse)
-    monkeypatch.setattr(sym, "rim_hooks_of_length", refuse, raising=False)
+    partitions_module = importlib.import_module("oddchar.partitions")
+    # both the public wrapper and the tuple core that it and _mn share
+    for name in ("rim_hooks_of_length", "_rim_hooks"):
+        monkeypatch.setattr(partitions_module, name, refuse)
+        monkeypatch.setattr(characters, name, refuse, raising=False)
+        monkeypatch.setattr(sym, name, refuse, raising=False)
     assert [alpha_sn(lam) for lam in census] == thetas
     assert [alpha_sn_inverse(theta) for theta in thetas] == census
     assert [sharp_sn(lam) for lam in census] == sharps
