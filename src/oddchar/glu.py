@@ -8,7 +8,7 @@ the sum of its digits. Degree parity is read off the symmetric-group side.
 """
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 from . import _HOMES
@@ -16,6 +16,7 @@ from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolat
 from .partitions import (
     Partition,
     Value,
+    _as_ints,
     nu2,
     odd_multinomial_order,
     two_adic,
@@ -93,16 +94,17 @@ def _prime_base(q):
     return q if _is_prime(q) else None
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def kappa_q(kappa, q):
     """The validated data of the family (kappa, q); the one home of its modulus.
 
     Raises DomainError unless kappa is '+' (linear) or '-' (unitary) and q is
-    a power of an odd prime below Q_LIMIT (about 3.3e24), where the
+    an integer power of an odd prime below Q_LIMIT (about 3.3e24), where the
     prime-power test is exact.
     """
     if kappa not in ("+", "-"):
         raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
+    (q,) = _as_ints("q", q)
     if q >= Q_LIMIT:
         raise DomainError(f"q={q} is too large: prime powers are tested only below {Q_LIMIT}")
     p = _prime_base(q) if q >= 3 and q % 2 else None
@@ -136,14 +138,15 @@ class GLabel(Value):
         mod = kappa_q(self.kappa, self.q).modulus
         if not self.pairs:
             raise DomainError("a label needs at least one pair")
-        residues = [s for s, _ in self.pairs]
+        residues, lams = zip(*self.pairs)
+        residues = _as_ints("residues", *residues)
         if any(not 0 <= s < mod for s in residues):
             raise DomainError(f"residues must lie in [0, {mod})")
         if len(set(residues)) != len(residues):
             raise DomainError("residues must be pairwise distinct")
-        if any(lam.n == 0 for _, lam in self.pairs):
+        if any(lam.n == 0 for lam in lams):
             raise DomainError("empty partitions are not allowed in labels")
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=_residue)))
+        object.__setattr__(self, "pairs", tuple(sorted(zip(residues, lams), key=_residue)))
 
     @property
     def modulus(self):
@@ -194,15 +197,17 @@ def is_odd_label(label):
     """True iff every partition is odd and the sizes admit the strict 2-part chain.
 
     The test reads only the partitions, never the residues, so it is decided
-    once per shape (the label's partitions in pair order) and looked up after.
+    once per shape (the parts tuples of the label's partitions, in pair order)
+    and looked up after. A tuple of ints hashes in C, a Partition in Python.
     """
-    return _is_odd_shape(tuple([lam for _, lam in label.pairs]))
+    return _is_odd_shape(tuple([lam.parts for _, lam in label.pairs]))
 
 
 @cache
 def _is_odd_shape(shape):
-    odd = all(_strip(lam) is not None for lam in shape)
-    return odd and odd_multinomial_order([lam.n for lam in shape]) is not None
+    sizes = [sum(parts) for parts in shape]
+    odd = all(_strip(Partition._trusted(parts, n)) is not None for parts, n in zip(shape, sizes))
+    return odd and odd_multinomial_order(sizes) is not None
 
 
 def canonical_order(label):

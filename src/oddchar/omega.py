@@ -16,7 +16,9 @@ from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
+    Partition,
     Value,
+    _as_ints,
     check_two_adic_layout,
     odd_multinomial_order,
     split_by_digit,
@@ -37,12 +39,17 @@ class OmegaLabel(Value):
         mod = kappa_q(self.kappa, self.q).modulus
         if not self.blocks:
             raise DomainError("a label needs at least one block")
-        check_two_adic_layout(tuple(size for size, _, _ in self.blocks))
-        for size, s, hook in self.blocks:
+        sizes, residues, hooks = zip(*self.blocks)
+        sizes = _as_ints("block sizes", *sizes)
+        residues = _as_ints("residues", *residues)
+        check_two_adic_layout(sizes)
+        blocks = tuple(zip(sizes, residues, hooks))
+        for size, s, hook in blocks:
             if not 0 <= s < mod:
                 raise DomainError(f"residue {s} out of range [0, {mod})")
             if hook.m != size:
                 raise DomainError(f"hook {hook} does not fill its block of size {size}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def modulus(self):
@@ -136,15 +143,16 @@ def omega_to_local(kappa, q, s, hook):
 
 
 @cache
-def _partition_hooks(lam):
-    """alpha_sn(lam).hooks, stripped once per label partition.
+def _partition_hooks(parts):
+    """alpha_sn(Partition(parts)).hooks, stripped once per label partition.
 
     A partition recurs in every label that carries it under another residue,
     and again in sharp_glu_inverse's round trips, so sharp_glu meets the same
-    few partitions again and again. alpha_sn itself stays uncached: sweeps at
-    large n strip thousands of distinct partitions once each.
+    few partitions again and again. The key is the parts tuple, which hashes
+    in C; the Partition is built only on a miss. alpha_sn itself stays
+    uncached: sweeps at large n strip thousands of distinct partitions once each.
     """
-    return alpha_sn(lam).hooks
+    return alpha_sn(Partition._trusted(parts, sum(parts))).hooks
 
 
 def sharp_glu(label):
@@ -160,7 +168,7 @@ def sharp_glu(label):
     entries = {}
     for s, lam in label.pairs:
         try:
-            hooks = _partition_hooks(lam)
+            hooks = _partition_hooks(lam.parts)
         except DomainError as exc:  # an even partition
             raise DomainError(f"{label} is not an odd label") from exc
         for hook in hooks:
@@ -176,14 +184,17 @@ def sharp_glu(label):
 
 
 def sharp_glu_inverse(omega):
-    """Group blocks by residue and reattach each group's hooks; inverse of sharp_glu."""
+    """Group blocks by residue and reattach each group's hooks; inverse of sharp_glu.
+
+    A residue's hooks are a sub-sequence of omega's valid 2-adic layout, so
+    they form a valid layout of their own sum and build their ThetaLabel trusted.
+    """
     groups = {}
     for size, s, hook in omega.blocks:
         groups.setdefault(s, []).append(hook)
-    pairs = []
-    for s, hooks in groups.items():
-        lam = alpha_sn_inverse(ThetaLabel(tuple(hooks)))
-        pairs.append((s, lam))
+    pairs = [
+        (s, alpha_sn_inverse(ThetaLabel._trusted(tuple(hooks)))) for s, hooks in groups.items()
+    ]
     label = _trusted_glabel(omega.kappa, omega.q, pairs)
     try:
         image = sharp_glu(label)
@@ -212,30 +223,41 @@ def levi_star(label, blocks):
     ]
 
 
-def _act_on_residue(fn, x):
-    """Move every residue of x by fn, a permutation of the residues."""
+def _family(x):
+    """The kappa_q data of a label the actions move; DomainError for anything else."""
+    if not isinstance(x, (GLabel, OmegaLabel)):
+        raise DomainError(f"cannot act on {type(x).__name__}")
+    return kappa_q(x.kappa, x.q)
+
+
+def _act_on_residue(e, mod, x):
+    """Multiply every residue of x by the unit e modulo mod, in one comprehension.
+
+    No table indexed by residue: q runs up to Q_LIMIT, so one would cost O(q).
+    A unit keeps the residues distinct, so a GLabel's moved pairs sort by
+    residue alone, and a plain sort is the canonical order.
+    """
     if isinstance(x, GLabel):
-        return _trusted_glabel(x.kappa, x.q, [(fn(s), lam) for s, lam in x.pairs])
-    if isinstance(x, OmegaLabel):
-        return OmegaLabel._trusted(
-            x.kappa, x.q, tuple((size, fn(s), hook) for size, s, hook in x.blocks)
-        )
-    raise DomainError(f"cannot act on {type(x).__name__}")
+        pairs = sorted([(s * e % mod, lam) for s, lam in x.pairs])
+        return GLabel._trusted(x.kappa, x.q, tuple(pairs))
+    return OmegaLabel._trusted(
+        x.kappa, x.q, tuple([(size, s * e % mod, hook) for size, s, hook in x.blocks])
+    )
 
 
 def galois_act(i, x):
     """Raise every residue to the i-th power; partitions and hooks are fixed."""
-    mod = x.modulus
+    mod = _family(x).modulus
     if math.gcd(i, mod) != 1:
         raise DomainError(f"exponent {i} is not coprime to {mod}")
-    return _act_on_residue(lambda s: (s * i) % mod, x)
+    return _act_on_residue(i, mod, x)
 
 
 def outer_act(word, x):
     """Apply a word in the outer generators 'F' (s -> s^p) and 'tau' (s -> s^-1)."""
+    mod, _, _, p = _family(x)
     if isinstance(word, str):
         word = word.split()
-    mod, _, _, p = kappa_q(x.kappa, x.q)
     exponent = 1
     for gen in word:
         if gen == "F":
@@ -246,17 +268,17 @@ def outer_act(word, x):
             exponent = (-exponent) % mod
         else:
             raise DomainError(f"unknown outer generator {gen!r}")
-    return _act_on_residue(lambda s: (s * exponent) % mod, x)
+    return _act_on_residue(exponent, mod, x)
 
 
 def enumerate_omega_labels(n, q, kappa):
     """The full coordinate space: every residue and hook choice per block."""
     check_label_count(n, q, kappa)
     mod = kappa_q(kappa, q).modulus
-    blocks = [
-        [(size, s, HookPartition(size, leg)) for s in range(mod) for leg in range(size)]
-        for size in (1 << e for e in two_adic(n))
-    ]
+    blocks = []
+    for size in (1 << e for e in two_adic(n)):
+        hooks = [HookPartition._trusted(size, leg) for leg in range(size)]
+        blocks.append([(size, s, hook) for s in range(mod) for hook in hooks])
     return [OmegaLabel._trusted(kappa, q, combo) for combo in product(*blocks)]
 
 

@@ -7,7 +7,7 @@ functions are pure and safe to call from parallel sweeps.
 import math
 from bisect import bisect_left
 from functools import cache, reduce
-from operator import or_
+from operator import index, or_
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
@@ -82,6 +82,14 @@ class Value:
         return self._trusted, tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _as_ints(what, *values):
+    """The values as ints through operator.index; DomainError for floats, strings and the like."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"non-integer {what} in {values}") from None
+
+
 class Partition(Value):
     """A weakly decreasing tuple of positive integers; () is the partition of 0.
 
@@ -91,7 +99,7 @@ class Partition(Value):
     __slots__ = ("parts", "n")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = _as_ints("parts", *parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise DomainError(f"parts must be positive, got {parts}")
@@ -157,8 +165,13 @@ class HookPartition(Value):
     __slots__ = ("m", "leg")
 
     def _validate(self):
-        if self.m < 1 or not (0 <= self.leg <= self.m - 1):
-            raise DomainError(f"need 0 <= leg <= m-1, got m={self.m}, leg={self.leg}")
+        m, leg = self.m, self.leg
+        if m.__class__ is not int or leg.__class__ is not int:  # plain ints, the common case, skip the call
+            m, leg = _as_ints("hook size or leg", m, leg)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "leg", leg)
+        if m < 1 or not (0 <= leg <= m - 1):
+            raise DomainError(f"need 0 <= leg <= m-1, got m={m}, leg={leg}")
 
     @property
     def arm_count(self):

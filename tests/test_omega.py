@@ -114,6 +114,40 @@ def test_outer_act_examples():
         outer_act("tau", gu)
 
 
+def test_actions_refuse_non_labels_before_reading_them():
+    for act in (lambda x: galois_act(3, x), lambda x: outer_act("F", x)):
+        for x in (5, Partition((1,)), NormalizerLocalLabel("+", 3, 0, 0, 0)):
+            with pytest.raises(DomainError, match=f"cannot act on {type(x).__name__}"):
+                act(x)
+
+
+def _word_exponent(word, mod, p):
+    e = 1
+    for gen in word.split():
+        e = e * (p if gen == "F" else -1) % mod
+    return e
+
+
+def test_actions_multiply_residues_by_the_unit():
+    # pins the values, not only commutation: an identity action commutes too
+    for q, p in [(3, 3), (5, 5), (9, 3)]:
+        for kappa in ("+", "-"):
+            mod = q - 1 if kappa == "+" else q + 1
+            units = [i for i in range(-mod, 2 * mod) if math.gcd(i, mod) == 1]
+            words = ["F", "F F"] + (["tau", "F tau"] if kappa == "+" else [])
+            moves = [(galois_act, i, i) for i in units]
+            moves += [(outer_act, w, _word_exponent(w, mod, p)) for w in words]
+            for n in range(1, 6):
+                for label in enumerate_odd_labels(n, q, kappa):
+                    for act, arg, e in moves:
+                        pairs = [((s * e) % mod, lam) for s, lam in label.pairs]
+                        assert act(arg, label) == GLabel(kappa, q, pairs)
+                for omega in enumerate_omega_labels(n, q, kappa):
+                    for act, arg, e in moves:
+                        blocks = tuple((size, (s * e) % mod, h) for size, s, h in omega.blocks)
+                        assert act(arg, omega) == OmegaLabel(kappa, q, blocks)
+
+
 def test_equivariance_sweep():
     for n in range(1, 7):
         for q, kappa in [(3, "+"), (3, "-"), (5, "+"), (5, "-"), (9, "+"), (9, "-")]:

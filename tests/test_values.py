@@ -5,8 +5,9 @@ import pickle
 
 import pytest
 
-from oddchar.glu import GLabel, parabolic_star
-from oddchar.omega import NormalizerLocalLabel, sharp_glu
+from oddchar.errors import DomainError
+from oddchar.glu import GLabel, kappa_q, parabolic_star
+from oddchar.omega import NormalizerLocalLabel, OmegaLabel, sharp_glu
 from oddchar.partitions import HookPartition, Partition, Value
 from oddchar.sym import WreathOddLabel, alpha_sn, sharp_sn
 
@@ -123,6 +124,44 @@ def test_constructor_checks_the_number_of_fields():
         HookPartition(3)
     with pytest.raises(TypeError):
         HookPartition(3, 1, 0)
+
+
+def _q_as_float():
+    kappa_q("+", 3)  # cached first: the float must not hit the entry of the int
+    return kappa_q("+", 3.0)
+
+
+# One non-integer field per case; each used to pass or to raise some other error.
+NON_INTEGERS = [
+    (lambda: GLabel("+", 5, ((0.5, Partition((1,))),)), "non-integer residues"),
+    (lambda: GLabel("+", 5, (("0", Partition((1,))),)), "non-integer residues"),
+    (lambda: OmegaLabel("+", 5, ((1, 0.5, HookPartition(1, 0)),)), "non-integer residues"),
+    (_q_as_float, "non-integer q"),
+    (lambda: Partition((2.7, 1)), "non-integer parts"),
+    (lambda: HookPartition(2.5, 0), "non-integer hook size or leg"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    NON_INTEGERS,
+    ids=["glabel-float", "glabel-str", "omega-float", "kappa-q-float", "partition", "hook"],
+)
+def test_public_constructors_refuse_non_integers(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
+def test_integer_like_fields_become_ints():
+    class Index:  # an integer type that is no int, like numpy's
+        def __index__(self):
+            return 2
+
+    assert Partition((Index(), 1)).parts == (2, 1)
+    hook = HookPartition(Index(), True)
+    assert (type(hook.m), type(hook.leg)) == (int, int) and hook.to_json() == {"m": 2, "leg": 1}
+    label = GLabel("+", 5, ((Index(), Partition((1,))),))
+    assert type(label.pairs[0][0]) is int
 
 
 @cases
