@@ -13,14 +13,7 @@ from itertools import product
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
-from .partitions import (
-    Partition,
-    Value,
-    _as_ints,
-    nu2,
-    odd_multinomial_order,
-    two_adic,
-)
+from .partitions import HookPartition, Partition, Value, _as_ints, nu2, two_adic
 from .sym import _hook_census, _strip, star_sn
 
 __all__ = _HOMES["glu"]
@@ -167,8 +160,8 @@ class GLabel(Value):
     def from_json(cls, data):
         return cls(
             data["kappa"],
-            int(data["q"]),
-            tuple((int(p["s"]), Partition.from_json(p["lambda"])) for p in data["pairs"]),
+            data["q"],
+            tuple((p["s"], Partition.from_json(p["lambda"])) for p in data["pairs"]),
         )
 
 
@@ -194,20 +187,32 @@ class ParabolicCorrespondent(Value):
 
 
 def is_odd_label(label):
-    """True iff every partition is odd and the sizes admit the strict 2-part chain.
-
-    The test reads only the partitions, never the residues, so it is decided
-    once per shape (the parts tuples of the label's partitions, in pair order)
-    and looked up after. A tuple of ints hashes in C, a Partition in Python.
-    """
-    return _is_odd_shape(tuple([lam.parts for _, lam in label.pairs]))
+    """True iff every partition is odd and the sizes add without carry (an odd multinomial)."""
+    return _odd_layout(tuple([lam.parts for _, lam in label.pairs])) is not None
 
 
 @cache
-def _is_odd_shape(shape):
-    sizes = [sum(parts) for parts in shape]
-    odd = all(_strip(Partition._trusted(parts, n)) is not None for parts, n in zip(shape, sizes))
-    return odd and odd_multinomial_order(sizes) is not None
+def _odd_layout(shape):
+    """Per 2-adic block of n, largest first: (size, pair index, HookPartition); None if even.
+
+    The shape is the parts tuples of a label's partitions in pair order; the
+    residues never enter, so a shape is stripped once and looked up after. A
+    tuple of ints hashes in C, a Partition in Python. Each partition strips
+    to one hook per binary digit of its size, or refuses as even; two pairs
+    claim one block exactly when their sizes carry (Kummer), which is when
+    the multinomial is even. So this is the whole oddness test, and the
+    blocks of an odd shape are the 2-adic blocks of n, each owned by one pair.
+    """
+    owner = {}
+    for i, parts in enumerate(shape):
+        steps = _strip(Partition._trusted(parts, sum(parts)))
+        if steps is None:  # an even partition
+            return None
+        for _, m, leg in steps:
+            if m in owner:  # the sizes carry
+                return None
+            owner[m] = (m, i, HookPartition._trusted(m, leg))
+    return tuple([owner[m] for m in sorted(owner, reverse=True)])
 
 
 def canonical_order(label):

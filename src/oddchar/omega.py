@@ -9,14 +9,12 @@ a finite check.
 """
 
 import math
-from functools import cache
 from itertools import product
 
 from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
-    Partition,
     Value,
     _as_ints,
     check_two_adic_layout,
@@ -24,8 +22,8 @@ from .partitions import (
     split_by_digit,
     two_adic,
 )
-from .sym import alpha_sn, alpha_sn_inverse, ThetaLabel
-from .glu import GLabel, _trusted_glabel, check_label_count, kappa_q
+from .sym import alpha_sn_inverse, ThetaLabel
+from .glu import GLabel, _odd_layout, _trusted_glabel, check_label_count, kappa_q
 
 __all__ = _HOMES["omega"]
 
@@ -73,10 +71,9 @@ class OmegaLabel(Value):
     def from_json(cls, data):
         return cls(
             data["kappa"],
-            int(data["q"]),
+            data["q"],
             tuple(
-                (int(b["size"]), int(b["s"]), HookPartition.from_json(b["hook"]))
-                for b in data["blocks"]
+                (b["size"], b["s"], HookPartition.from_json(b["hook"])) for b in data["blocks"]
             ),
         )
 
@@ -97,6 +94,10 @@ class NormalizerLocalLabel(Value):
 
     def _validate(self):
         _, two, odd, _ = kappa_q(self.kappa, self.q)
+        for name in ("m", "gamma", "delta", "j", "k"):
+            value = getattr(self, name)
+            if value is not None or name in ("m", "gamma", "delta"):  # j, k are absent at m = 0
+                object.__setattr__(self, name, *_as_ints(name, value))
         if self.m < 0:
             raise DomainError("m must be nonnegative")
         if not 0 <= self.gamma < two:
@@ -142,44 +143,17 @@ def omega_to_local(kappa, q, s, hook):
     )
 
 
-@cache
-def _partition_hooks(parts):
-    """alpha_sn(Partition(parts)).hooks, stripped once per label partition.
-
-    A partition recurs in every label that carries it under another residue,
-    and again in sharp_glu_inverse's round trips, so sharp_glu meets the same
-    few partitions again and again. The key is the parts tuple, which hashes
-    in C; the Partition is built only on a miss. alpha_sn itself stays
-    uncached: sweeps at large n strip thousands of distinct partitions once each.
-    """
-    return alpha_sn(Partition._trusted(parts, sum(parts))).hooks
-
-
 def sharp_glu(label):
     """Normalizer-side coordinates of an odd label; DomainError on any other label.
 
-    Each pair contributes one hook per 2-adic block of its partition size via
-    the symmetric-group hook coordinates, and stamps its residue on those
-    blocks. The loop is itself the oddness test of is_odd_label: stripping
-    refuses an even partition, and an odd partition of k has hooks exactly at
-    the binary digits of k, so two pairs claim one block exactly when their
-    sizes carry (Kummer), which is when the multinomial is even.
+    glu._odd_layout gives each 2-adic block of n its owning pair and hook, or
+    refuses the label as even; each block then takes its owner's residue.
     """
-    entries = {}
-    for s, lam in label.pairs:
-        try:
-            hooks = _partition_hooks(lam.parts)
-        except DomainError as exc:  # an even partition
-            raise DomainError(f"{label} is not an odd label") from exc
-        for hook in hooks:
-            e = hook.m.bit_length() - 1
-            if e in entries:  # the sizes carry
-                raise DomainError(f"{label} is not an odd label")
-            entries[e] = (hook.m, s, hook)
-    if not entries:
-        raise DomainError(f"{label} has no pairs")
-    # the pairs own disjoint digits, so these are the 2-adic blocks of label.n
-    blocks = tuple(entries[e] for e in sorted(entries, reverse=True))
+    pairs = label.pairs
+    layout = _odd_layout(tuple([lam.parts for _, lam in pairs]))
+    if layout is None:
+        raise DomainError(f"{label} is not an odd label")
+    blocks = tuple([(m, pairs[i][0], hook) for m, i, hook in layout])
     return OmegaLabel._trusted(label.kappa, label.q, blocks)
 
 
@@ -248,7 +222,11 @@ def _act_on_residue(e, mod, x):
 def galois_act(i, x):
     """Raise every residue to the i-th power; partitions and hooks are fixed."""
     mod = _family(x).modulus
-    if math.gcd(i, mod) != 1:
+    try:
+        unit = math.gcd(i, mod) == 1
+    except TypeError:  # a float or str; the try costs nothing when gcd succeeds
+        raise DomainError(f"non-integer exponent {i!r}") from None
+    if not unit:
         raise DomainError(f"exponent {i} is not coprime to {mod}")
     return _act_on_residue(i, mod, x)
 

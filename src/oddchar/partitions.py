@@ -192,7 +192,7 @@ class HookPartition(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["m"]), int(data["leg"]))
+        return cls(data["m"], data["leg"])
 
 
 def two_adic(n):

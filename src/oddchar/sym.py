@@ -23,9 +23,9 @@ from .partitions import (
     HookPartition,
     Partition,
     Value,
+    _as_ints,
     _attach_parts,
     check_two_adic_layout,
-    nu2,
     odd_multinomial_order,
     split_by_digit,
     two_adic,
@@ -60,10 +60,15 @@ class SylowLinearLabel(Value):
     __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
 
     def _validate(self):
-        check_two_adic_layout(tuple(size for size, _ in self.blocks))
-        for size, bits in self.blocks:
+        sizes = _as_ints("block sizes", *(size for size, _ in self.blocks))
+        check_two_adic_layout(sizes)
+        blocks = tuple(
+            (size, _as_ints("bits", *bits)) for size, (_, bits) in zip(sizes, self.blocks)
+        )
+        for size, bits in blocks:
             if len(bits) != size.bit_length() - 1 or any(b not in (0, 1) for b in bits):
                 raise DomainError(f"bad bit vector {bits} for block size {size}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self):
@@ -99,15 +104,15 @@ class SylowLinearLabel(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple((int(b["size"]), tuple(int(x) for x in b["bits"])) for b in data))
+        return cls(tuple((b["size"], tuple(b["bits"])) for b in data))
 
 
 class WreathOddLabel(Value):
     """Odd-degree label of a wreath product S_k wr S_t of odd index.
 
     base lists the distinct odd partitions of k with their multiplicities t_i,
-    in strictly increasing 2-part of t_i; top gives one odd partition of each
-    t_i.
+    which add without carry, in strictly increasing 2-part of t_i; top gives
+    one odd partition of each t_i.
     """
 
     __slots__ = ("k", "t", "base", "top")
@@ -115,9 +120,9 @@ class WreathOddLabel(Value):
     def _validate(self):
         if sum(t for _, t in self.base) != self.t:
             raise DomainError("multiplicities must sum to t")
-        vals = [nu2(t) for _, t in self.base]
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise DomainError("multiplicities must have strictly increasing 2-parts")
+        ts = [t for _, t in self.base]
+        if odd_multinomial_order(ts) != ts:  # they carry, or are out of order
+            raise DomainError("multiplicities must add without carry, by increasing 2-part")
         psis = [psi for psi, _ in self.base]
         if len(set(psis)) != len(psis):
             raise DomainError("base partitions must be pairwise distinct")
@@ -275,8 +280,9 @@ def young_star(lam, blocks):
         raise DomainError(f"Young subgroup {blocks} does not have odd index")
     if sum(blocks) != lam.n:
         raise DomainError(f"blocks sum to {sum(blocks)}, need {lam.n}")
+    # each factor's blocks are a sub-sequence of a valid 2-adic layout: valid by construction
     return [
-        sharp_sn_inverse(SylowLinearLabel(factor_blocks))
+        sharp_sn_inverse(SylowLinearLabel._trusted(factor_blocks))
         for factor_blocks in split_by_digit(sharp_sn(lam).blocks, blocks)
     ]
 
@@ -320,9 +326,11 @@ def theorem_d_star(lam, k, t):
         fibers.setdefault(bits[:c], []).append((size // k, bits[c:]))
     base = []
     top = []
+    # k divides every block of n = k*t: each fiber's sizes are distinct 2-powers, and a
+    # block of size 2**e keeps e - c of its bits, so both labels are valid by construction
     for base_bits, members in fibers.items():
-        psi = sharp_sn_inverse(SylowLinearLabel(((k, base_bits),)))
-        alpha = sharp_sn_inverse(SylowLinearLabel(tuple(reversed(members))))
+        psi = sharp_sn_inverse(SylowLinearLabel._trusted(((k, base_bits),)))
+        alpha = sharp_sn_inverse(SylowLinearLabel._trusted(tuple(reversed(members))))
         base.append((psi, alpha.n))
         top.append(alpha)
     return WreathOddLabel._trusted(k, t, tuple(base), tuple(top))

@@ -9,7 +9,7 @@ from oddchar.partitions import Partition, nu2, odd_multinomial_order, partitions
 from oddchar.glu import (
     Q_LIMIT,
     GLabel,
-    _is_odd_shape,
+    _odd_layout,
     _prime_base,
     canonical_order,
     count_odd_irr_gl,
@@ -21,7 +21,7 @@ from oddchar.glu import (
     sl_correspondence_data,
     sl_label_census,
 )
-from oddchar.omega import levi_star
+from oddchar.omega import levi_star, sharp_glu, sharp_glu_inverse
 
 
 def closed_form(n, q, kappa):
@@ -115,12 +115,18 @@ def test_cached_is_odd_label_matches_the_direct_test():
     labels += [GLabel("+", 5, tuple(enumerate(shape))) for shape in shapes]
     assert not all(map(direct, labels)) and any(map(direct, labels[-len(shapes) :]))
     for label in labels:
-        assert is_odd_label(label) == direct(label), label
+        odd = direct(label)
+        assert is_odd_label(label) == odd, label
+        if odd:  # sharp_glu reads the same layout: it refuses exactly the even labels
+            assert sharp_glu_inverse(sharp_glu(label)) == label, label
+        else:
+            with pytest.raises(DomainError, match="is not an odd label"):
+                sharp_glu(label)
     # residues do not enter the key: a residue translate is a cache hit
     assert is_odd_label(GLabel("+", 5, ((0, Partition((2, 1, 1))), (1, Partition((1,))))))
-    hits = _is_odd_shape.cache_info().hits
+    hits = _odd_layout.cache_info().hits
     assert is_odd_label(GLabel("+", 5, ((2, Partition((2, 1, 1))), (3, Partition((1,))))))
-    assert _is_odd_shape.cache_info().hits == hits + 1
+    assert _odd_layout.cache_info().hits == hits + 1
 
 
 def test_canonical_order():

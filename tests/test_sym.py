@@ -267,8 +267,7 @@ def test_hook_maps_need_no_parity_oracle(monkeypatch):
             if name.partition(".")[0] == "oddchar" and oracle in vars(module):
                 monkeypatch.setattr(module, oracle, refuse)
     sym._hook_census.cache_clear()
-    omega._partition_hooks.cache_clear()
-    glu._is_odd_shape.cache_clear()
+    glu._odd_layout.cache_clear()
     assert [star_sn(lam) for lam in census] == stars
     assert [glu.parabolic_star(label) for label in plus] == parabolic
     assert [glu.canonical_order(label) for label in plus] == ordered
@@ -521,6 +520,44 @@ def test_wreath_builders_pass_the_public_constructor():
             images = [theorem_d_star(lam, k, t) for lam in odd_partitions(k * t)]
             for label in wreath_odd_labels(k, t) + images:
                 assert sym.WreathOddLabel(*_fields(label)) == label, (k, t, label)
+
+
+def test_young_and_wreath_stars_build_valid_sylow_factor_labels(monkeypatch):
+    # both build their factor labels trusted; each must survive the public constructor
+    inverse = sym.sharp_sn_inverse
+    seen = []
+
+    def checked(label):
+        assert SylowLinearLabel(label.blocks) == label, label
+        seen.append(label)
+        return inverse(label)
+
+    monkeypatch.setattr(sym, "sharp_sn_inverse", checked)
+    for n in range(2, 13):
+        for lam in odd_partitions(n):
+            for a in range(1, n):
+                if a & (n - a) == 0:
+                    young_star(lam, [a, n - a])
+            for k in range(1, n + 1):
+                if n % k == 0 and wreath_index_is_odd(k, n // k):
+                    theorem_d_star(lam, k, n // k)
+    assert len(seen) > 1000
+
+
+@pytest.mark.parametrize(
+    "k, t, base, top",
+    [
+        # 3 + 2 carries: C(5, 3) = 10 is even, though the 2-parts 1 < 2 increase
+        (2, 5, ((Partition((2,)), 3), (Partition((1, 1)), 2)), (Partition((3,)), Partition((2,)))),
+        # no carry, but the 2-parts decrease
+        (2, 3, ((Partition((2,)), 2), (Partition((1, 1)), 1)), (Partition((2,)), Partition((1,)))),
+    ],
+    ids=["carrying", "decreasing"],
+)
+def test_wreath_label_refuses_multiplicities_of_even_index(k, t, base, top):
+    assert all(label.base != base for label in wreath_odd_labels(k, t))
+    with pytest.raises(DomainError, match="multiplicities must add without carry"):
+        sym.WreathOddLabel(k, t, base, top)
 
 
 def test_theorem_d_d8_identity():

@@ -7,9 +7,9 @@ import pytest
 
 from oddchar.errors import DomainError
 from oddchar.glu import GLabel, kappa_q, parabolic_star
-from oddchar.omega import NormalizerLocalLabel, OmegaLabel, sharp_glu
+from oddchar.omega import NormalizerLocalLabel, OmegaLabel, galois_act, sharp_glu
 from oddchar.partitions import HookPartition, Partition, Value
-from oddchar.sym import WreathOddLabel, alpha_sn, sharp_sn
+from oddchar.sym import SylowLinearLabel, WreathOddLabel, alpha_sn, sharp_sn
 
 
 def _glabel():
@@ -139,13 +139,43 @@ NON_INTEGERS = [
     (_q_as_float, "non-integer q"),
     (lambda: Partition((2.7, 1)), "non-integer parts"),
     (lambda: HookPartition(2.5, 0), "non-integer hook size or leg"),
+    (lambda: NormalizerLocalLabel("+", 5, 0, 0.5, 0), "non-integer gamma"),
+    (lambda: galois_act(1.5, _glabel()), "non-integer exponent"),
+    # from_json passes each field on unchanged: 2.7 must not truncate to 2 first
+    (lambda: HookPartition.from_json({"m": 2.7, "leg": 0}), "non-integer hook size or leg"),
+    (
+        lambda: GLabel.from_json({"kappa": "+", "q": 5, "pairs": [{"s": 1.5, "lambda": [1]}]}),
+        "non-integer residues",
+    ),
+    (
+        lambda: OmegaLabel.from_json(
+            {"kappa": "+", "q": 5, "blocks": [{"size": 1, "s": 0.5, "hook": {"m": 1, "leg": 0}}]}
+        ),
+        "non-integer residues",
+    ),
+    (lambda: SylowLinearLabel.from_json([{"size": 2, "bits": [1.0]}]), "non-integer bits"),
+    (lambda: SylowLinearLabel.from_json([{"size": 4.0, "bits": [0, 1]}]), "non-integer block sizes"),
 ]
 
 
 @pytest.mark.parametrize(
     "make, message",
     NON_INTEGERS,
-    ids=["glabel-float", "glabel-str", "omega-float", "kappa-q-float", "partition", "hook"],
+    ids=[
+        "glabel-float",
+        "glabel-str",
+        "omega-float",
+        "kappa-q-float",
+        "partition",
+        "hook",
+        "normalizer-local",
+        "galois-exponent",
+        "hook-json",
+        "glabel-json",
+        "omega-json",
+        "sylow-json-bit",
+        "sylow-json-size",
+    ],
 )
 def test_public_constructors_refuse_non_integers(make, message):
     with pytest.raises(DomainError, match=message):
