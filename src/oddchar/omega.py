@@ -10,6 +10,7 @@ a finite check.
 
 import math
 from itertools import product
+from operator import index
 
 from . import _HOMES
 from .errors import DomainError, TheoremViolationError
@@ -223,8 +224,9 @@ def galois_act(i, x):
     """Raise every residue to the i-th power; partitions and hooks are fixed."""
     mod = _family(x).modulus
     try:
+        i = index(i)  # an integer type that is no int must not reach _act_on_residue
         unit = math.gcd(i, mod) == 1
-    except TypeError:  # a float or str; the try costs nothing when gcd succeeds
+    except TypeError:  # a float or str; the try costs nothing when index succeeds
         raise DomainError(f"non-integer exponent {i!r}") from None
     if not unit:
         raise DomainError(f"exponent {i} is not coprime to {mod}")

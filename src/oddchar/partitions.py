@@ -199,7 +199,12 @@ def two_adic(n):
     """Exponents of the set bits of n, descending; () for n = 0."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return tuple(e for e in range(n.bit_length() - 1, -1, -1) if (n >> e) & 1)
+    exponents = []
+    while n:  # one step per set bit, highest first
+        e = n.bit_length() - 1
+        exponents.append(e)
+        n ^= 1 << e
+    return tuple(exponents)
 
 
 def check_two_adic_layout(sizes):

@@ -118,22 +118,26 @@ class WreathOddLabel(Value):
     __slots__ = ("k", "t", "base", "top")
 
     def _validate(self):
-        if sum(t for _, t in self.base) != self.t:
+        k, t = _as_ints("k or t", self.k, self.t)
+        ts = list(_as_ints("multiplicities", *[t_i for _, t_i in self.base]))
+        if sum(ts) != t:
             raise DomainError("multiplicities must sum to t")
-        ts = [t for _, t in self.base]
         if odd_multinomial_order(ts) != ts:  # they carry, or are out of order
             raise DomainError("multiplicities must add without carry, by increasing 2-part")
         psis = [psi for psi, _ in self.base]
         if len(set(psis)) != len(psis):
             raise DomainError("base partitions must be pairwise distinct")
         for psi in psis:
-            if psi.n != self.k or _strip(psi) is None:
-                raise DomainError(f"{psi} is not an odd partition of {self.k}")
+            if psi.n != k or _strip(psi) is None:
+                raise DomainError(f"{psi} is not an odd partition of {k}")
         if len(self.top) != len(self.base):
             raise DomainError("need one top partition per base entry")
-        for alpha, (_, t_i) in zip(self.top, self.base):
+        for alpha, t_i in zip(self.top, ts):
             if alpha.n != t_i or _strip(alpha) is None:
                 raise DomainError(f"{alpha} is not an odd partition of {t_i}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "base", tuple(zip(psis, ts)))
 
     def to_json(self):
         return {

@@ -226,6 +226,49 @@ def test_parity_oracle_on_long_partitions():
         assert characters._two_adic_degree(parts, sum(parts)) == nu2_by_pairs(parts)
 
 
+def test_ascending_fill_steps_on_each_partition_itself(monkeypatch):
+    lams = [lam for n in range(25) for lam in partitions(n)]
+    expected = [valuation(degree(lam)) for lam in lams]
+
+    def refuse(*args):
+        raise AssertionError("the parity oracle conjugated")
+
+    # every tail is decided first, so each partition takes the first-row step
+    # on its own parts; only the closed form may conjugate
+    characters._nu2_degree.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "conjugate_parts", refuse)
+        got = [characters._two_adic_degree(lam.parts, lam.n) for lam in lams]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "parts, path",
+    [
+        ((1,) * 256, "step"),
+        ((1,) * 257, "closed form"),
+        ((1,) * 20000, "closed form"),
+        ((2,) * 3 + (1,) * 200, "step"),
+        ((2,) * 3 + (1,) * 500, "closed form"),
+    ],
+    ids=["column-256", "column-257", "column-20000", "tall-203", "tall-503"],
+)
+def test_tall_partition_after_its_tail(monkeypatch, parts, path):
+    # The step's product of l - 1 gaps costs O(l^2), so past 256 rows a known
+    # tail is passed over for the closed form on the conjugate.
+    expected = 0 if parts[0] == 1 else nu2_by_pairs(parts)  # a column has degree 1
+    characters._nu2_degree.clear()
+    characters._two_adic_degree(parts[1:], sum(parts) - parts[0])
+
+    def refuse(*args):
+        raise AssertionError(f"the parity oracle did not take the {path}")
+
+    with monkeypatch.context() as patch:
+        # sub is the step's only call, enumerate the closed form's
+        patch.setattr(characters, "enumerate" if path == "step" else "sub", refuse, raising=False)
+        assert characters._two_adic_degree(parts, sum(parts)) == expected
+
+
 def test_census_returns_a_fresh_list():
     census = odd_partitions(10)
     expected = list(census)

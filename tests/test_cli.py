@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import contextlib
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -913,6 +914,26 @@ def test_golden_cli_bytes(capsysbinary, argv, code, stdout):
     captured = capsysbinary.readouterr()
     assert captured.out == stdout
     assert (code == 0) == (captured.err == b"")
+
+
+# SHA-256 of the bytes `oddchar verify` prints for the four suites of the
+# substrate benchmark workload, at its sizes. A change to the partition
+# substrate or the parity oracle must leave every byte of these reports alone,
+# and this pins that where the benchmark is not run.
+SUBSTRATE_REPORTS = {
+    ("alpha-bij", 28): "cdf77043e3e97bd6a1f8b2e0d222b669b857217ff6aeaf54f9eb7aa7ecb005c8",
+    ("sn-star", 28): "3bc310d4b4f142e13b7be74f28e6786e8772a27bb8b96589c5a5f5de16fa2360",
+    ("lemma41", 13): "4f844d556b4b7cea07061d2df4497cc21fbe9ea445c2ff3a07cfde4aed6665e3",
+    ("lemma42", 7): "acd370a628273faf2da774a9ea68f3ae1efea4404de4b86bf2c4c18aea605fa2",
+}
+
+
+def test_substrate_reports_are_byte_identical():
+    got = {}
+    for name, max_n in SUBSTRATE_REPORTS:
+        text = json.dumps(run_suite(name, max_n=max_n).to_json(), sort_keys=True, separators=(",", ":"))
+        got[name, max_n] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SUBSTRATE_REPORTS
 
 
 def test_readme_examples_run(capsys):

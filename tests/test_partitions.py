@@ -297,6 +297,15 @@ def test_two_adic_reconstructs(n):
     assert list(exps) == sorted(exps, reverse=True)
 
 
+def test_two_adic_of_a_300_bit_number_and_a_negative_one():
+    assert two_adic((1 << 299) | (1 << 150) | 0b1011) == (299, 150, 3, 1, 0)
+    assert two_adic((1 << 300) - 1) == tuple(range(299, -1, -1))
+    with pytest.raises(DomainError):
+        two_adic(-1)
+    with pytest.raises(DomainError):
+        two_adic(-(1 << 300))
+
+
 def test_nu2_examples():
     assert nu2(12) == 4
     assert nu2(7) == 1

@@ -141,6 +141,9 @@ NON_INTEGERS = [
     (lambda: HookPartition(2.5, 0), "non-integer hook size or leg"),
     (lambda: NormalizerLocalLabel("+", 5, 0, 0.5, 0), "non-integer gamma"),
     (lambda: galois_act(1.5, _glabel()), "non-integer exponent"),
+    (lambda: galois_act("3", _glabel()), "non-integer exponent"),
+    (lambda: WreathOddLabel(3.0, 1, ((Partition((3,)), 1),), (Partition((1,)),)), "non-integer k or t"),
+    (lambda: WreathOddLabel(3, 1, ((Partition((3,)), 1.0),), (Partition((1,)),)), "non-integer multiplicities"),
     # from_json passes each field on unchanged: 2.7 must not truncate to 2 first
     (lambda: HookPartition.from_json({"m": 2.7, "leg": 0}), "non-integer hook size or leg"),
     (
@@ -170,6 +173,9 @@ NON_INTEGERS = [
         "hook",
         "normalizer-local",
         "galois-exponent",
+        "galois-exponent-str",
+        "wreath-k",
+        "wreath-multiplicity",
         "hook-json",
         "glabel-json",
         "omega-json",
@@ -192,6 +198,25 @@ def test_integer_like_fields_become_ints():
     assert (type(hook.m), type(hook.leg)) == (int, int) and hook.to_json() == {"m": 2, "leg": 1}
     label = GLabel("+", 5, ((Index(), Partition((1,))),))
     assert type(label.pairs[0][0]) is int
+    wreath = WreathOddLabel(Index(), 1, ((Partition((2,)), 1),), (Partition((1,)),))
+    assert (type(wreath.k), wreath.k) == (int, 2)
+    wreath = WreathOddLabel(1, Index(), ((Partition((1,)), Index()),), (Partition((2,)),))
+    assert (type(wreath.t), type(wreath.base[0][1])) == (int, int)
+    assert wreath.to_json() == {"k": 1, "t": 2, "base": [{"psi": [1], "t": 2}], "top": [[2]]}
+
+
+def test_galois_act_takes_an_integer_like_exponent():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    label = GLabel("+", 9, ((3, Partition((2,))), (6, Partition((1,)))))
+    assert galois_act(Index(3), label) == galois_act(3, label)
+    with pytest.raises(DomainError, match="exponent 2 is not coprime to 8"):
+        galois_act(Index(2), label)
 
 
 @cases
