@@ -33,11 +33,21 @@ filled for ascending n takes the step on all of them.
 
 The oracle computes its own b_i and calls no rim-hook code. Only verify and
 the tests call it: sym's bead strip and the hook attachment move their own b_i.
+
+Character values come from the Murnaghan-Nakayama rule, one row at a time:
+_mn(lam_parts, types) is the tuple of values of chi^lam at each cycle type
+in types, a tuple of descending parts tuples of size |lam|. It lists the rim
+m-hooks of lam once for each run of types with first part m, and recurses
+once per hook on the run's tuple of rests, so sibling types share the
+listing and one memo entry. Types in descending order make one run per
+first part; mn_value is the row of the single type mu. Its rim hooks come
+from partitions._rim_hooks, which no map under test calls.
 """
 
 import math
 from functools import cache
-from operator import lt, sub
+from itertools import groupby
+from operator import add, itemgetter, lt, sub
 
 from . import _HOMES
 from .errors import DomainError
@@ -113,22 +123,25 @@ def odd_partitions(n):
 
 
 @cache
-def _mn(lam_parts, mu_parts):
-    if not mu_parts:
-        return 1
-    rest = mu_parts[1:]
-    total = 0
-    for leg, remainder in _rim_hooks(lam_parts, mu_parts[0]):
-        v = _mn(remainder, rest)
-        total += -v if leg & 1 else v
-    return total
+def _mn(lam_parts, types):
+    """Values of chi^lam at each cycle type in types, in that order; see the module docstring."""
+    if not lam_parts:
+        return (1,) * len(types)
+    row = []
+    for m, run in groupby(types, itemgetter(0)):
+        rests = tuple([t[1:] for t in run])
+        total = (0,) * len(rests)
+        for leg, remainder in _rim_hooks(lam_parts, m):
+            total = tuple(map(sub if leg & 1 else add, total, _mn(remainder, rests)))
+        row += total
+    return tuple(row)
 
 
 def mn_value(lam, mu):
     """Character value at the class of cycle type mu, by rim-hook recursion."""
     if lam.n != mu.n:
         raise DomainError(f"sizes differ: {lam.n} vs {mu.n}")
-    return _mn(lam.parts, mu.parts)
+    return _mn(lam.parts, (mu.parts,))[0]
 
 
 def branch_restrict(lam):

@@ -197,6 +197,8 @@ class HookPartition(Value):
 
 def two_adic(n):
     """Exponents of the set bits of n, descending; () for n = 0."""
+    if n.__class__ is not int:  # plain ints, the common case, skip the call
+        (n,) = _as_ints("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     exponents = []
@@ -237,6 +239,8 @@ def split_by_digit(entries, sizes):
 
 def nu2(r):
     """The 2-part of r: largest power of 2 dividing r, with nu2(0) = infinity."""
+    if r.__class__ is not int:
+        (r,) = _as_ints("r", r)
     if r < 0:
         raise DomainError("r must be nonnegative")
     if r == 0:
@@ -246,6 +250,8 @@ def nu2(r):
 
 def binom_is_odd(n, a):
     """Parity of C(n, a): odd iff the bits of a are dominated by the bits of n."""
+    if n.__class__ is not int or a.__class__ is not int:
+        n, a = _as_ints("n or a", n, a)
     if not 0 <= a <= n:
         raise DomainError(f"need 0 <= a <= n, got n={n}, a={a}")
     return (a & n) == a
@@ -258,7 +264,7 @@ def odd_multinomial_order(parts):
     nu2(sum) = nu2(a_1) < nu2(a_2) < ... when (sum)!/prod(a_i!) is odd,
     and None otherwise.
     """
-    parts = list(parts)
+    parts = list(_as_ints("parts", *parts))
     if not parts or any(a < 1 for a in parts):
         raise DomainError("parts must be a nonempty list of positive integers")
     # odd exactly when adding the parts in binary makes no carry (Kummer)

@@ -14,7 +14,11 @@ lowest first. A slot holds at most |P| chi(1) <= |P| isqrt(n!) in absolute
 value, so k = bitlen(|P| isqrt(n!)) + 1 is fixed per group and fits every
 character; the remainder left above the last slot must be 0, and is checked.
 
-Only the group structure and mn_value enter; the oracle is deliberately
+The values chi(t) are one Murnaghan-Nakayama row, characters._mn(lam.parts,
+types), over the group's cycle types held as parts tuples in descending
+order, so the types that share a first part share one rim-hook listing.
+
+Only the group structure and the MN rule enter; the oracle is deliberately
 independent of the wreath-tower labelling used by the correspondence modules
 (alpha_sn, hook_to_bits, the Gray code).
 """
@@ -25,7 +29,7 @@ from operator import mul
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
-from .characters import mn_value
+from .characters import _mn
 from .partitions import Partition, two_adic
 
 __all__ = _HOMES["permgroups"]
@@ -131,13 +135,20 @@ class Sylow2Subgroup:
     def _packed_sums(self):
         """(k, cycle types, rows): class_sums with row S_t packed as sum_w S_t[w] * 2**(k*w).
 
+        The cycle types are parts tuples in descending order, the order the
+        MN row kernel groups them in.
+
         Slot w of sum_t chi(t) * row_t is sum_x chi(x) phi_w(x) over the group,
         at most |P| chi(1) <= |P| isqrt(n!) in absolute value, as the squared
         degrees sum to n!; k - 1 bits hold that and the top bit the sign.
         """
         k = (self.order * math.isqrt(math.factorial(self.degree))).bit_length() + 1
-        rows = [sum(v << k * w for w, v in enumerate(row)) for row in self.class_sums.values()]
-        return k, tuple(self.class_sums), tuple(rows)
+        packed = [
+            (t.parts, sum(v << k * w for w, v in enumerate(row)))
+            for t, row in self.class_sums.items()
+        ]
+        types, rows = zip(*sorted(packed, reverse=True))
+        return k, types, rows
 
 
 def sylow2_subgroup(n):
@@ -168,7 +179,7 @@ def restriction_multiplicities(lam, group):
     if lam.n != group.degree:
         raise DomainError(f"partition of {lam.n} vs group of degree {group.degree}")
     k, types, rows = group._packed_sums
-    total = sum(map(mul, [mn_value(lam, t) for t in types], rows))
+    total = sum(map(mul, _mn(lam.parts, types), rows))
     low, half, order = (1 << k) - 1, 1 << (k - 1), group.order
     out = []
     for values in group._mask_values:

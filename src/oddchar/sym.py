@@ -81,19 +81,20 @@ class SylowLinearLabel(Value):
         sign = 1
         offset = 0
         for size, bits in self.blocks:
-            local = [perm[offset + i] - offset for i in range(size)]
-            if any(not 0 <= x < size for x in local):
+            block = perm[offset : offset + size]
+            if min(block) < offset or max(block) >= offset + size:
                 raise DomainError("permutation does not preserve the 2-adic blocks")
+            local = [x - offset for x in block]
             for level_bit in bits:
                 reversals = 0
                 nxt = []
-                for i in range(len(local) // 2):
-                    a, b = local[2 * i], local[2 * i + 1]
+                it = iter(local)
+                for a, b in zip(it, it):
                     if a >> 1 != b >> 1:
                         raise DomainError("permutation does not preserve the pair tower")
-                    reversals ^= a & 1
+                    reversals ^= a  # bit 0: parity of the swapped pairs
                     nxt.append(a >> 1)
-                if level_bit and reversals:
+                if level_bit and reversals & 1:
                     sign = -sign
                 local = nxt
             offset += size

@@ -1,12 +1,13 @@
 import gc
 import importlib
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddchar import characters
+from oddchar import characters, permgroups, verify
 from oddchar.errors import DomainError
 from oddchar.characters import (
     branch_restrict,
@@ -340,6 +341,45 @@ def test_column_orthogonality(data):
     total = sum(mn_value(lam, mu) * mn_value(lam, nu) for lam in lams)
     expected = math.factorial(n) // class_size(mu) if mu == nu else 0
     assert total == expected
+
+
+def test_mn_row_matches_the_single_values():
+    for n in range(11):
+        mus = partitions(n)
+        types = tuple(mu.parts for mu in mus)
+        for lam in partitions(n):
+            row = characters._mn(lam.parts, types)
+            assert row == tuple(mn_value(lam, mu) for mu in mus), lam
+            # any order: the row follows types, whose equal first parts need not be adjacent
+            shuffled = types[1::2] + types[::2]
+            assert characters._mn(lam.parts, shuffled) == row[1::2] + row[::2], lam
+
+
+def test_mn_row_lists_rim_hooks_once_per_first_part(monkeypatch):
+    listings = Counter()
+    keys = set()
+    list_hooks, row = characters._rim_hooks, characters._mn
+
+    def counted_hooks(parts, m):
+        listings[parts, m] += 1
+        return list_hooks(parts, m)
+
+    def seen_row(lam_parts, types):
+        keys.add((lam_parts, types))
+        return row(lam_parts, types)
+
+    monkeypatch.setattr(characters, "_rim_hooks", counted_hooks)
+    # the recursion and the oracle reach the row kernel through these names
+    monkeypatch.setattr(characters, "_mn", seen_row)
+    monkeypatch.setattr(permgroups, "_mn", seen_row)
+    row.cache_clear()  # a cold fill: every key is computed once
+    verify.run_suite("sharp-oracle", max_n=12)
+    expected = Counter(
+        (lam_parts, m) for lam_parts, types in keys if lam_parts for m in {t[0] for t in types}
+    )
+    assert listings == expected
+    # against one listing per (shape, cycle type), as a memo keyed on single types makes
+    assert sum(listings.values()) * 2 < sum(len(types) for lam_parts, types in keys if lam_parts)
 
 
 # ---------------------------------------------------------------- branching

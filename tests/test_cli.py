@@ -936,6 +936,17 @@ def test_substrate_reports_are_byte_identical():
     assert got == SUBSTRATE_REPORTS
 
 
+# The same for the sylow workload's report, sharp-oracle at max_n = 12: a change
+# to the restriction oracle or the MN values must leave every byte alone.
+SHARP_ORACLE_REPORT = "d2b0f7be2058a679bfe13f67becbc27e3814245d6709ff4b23945aebb565b6e1"
+
+
+def test_sharp_oracle_report_is_byte_identical():
+    report = run_suite("sharp-oracle", max_n=12).to_json()
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHARP_ORACLE_REPORT
+
+
 def test_readme_examples_run(capsys):
     # each `oddchar ...` line of the README; a `# {...}` comment is its exact stdout
     examples = [line for line in README.read_text().splitlines() if line.startswith("oddchar ")]

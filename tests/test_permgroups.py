@@ -256,15 +256,20 @@ def test_packed_inner_products_match_the_double_loop(monkeypatch):
 
 def test_packed_slots_keep_their_sign(monkeypatch):
     group = sylow2_subgroup(12)
-    identity = Partition((1,) * 12)
+    identity = (1,) * 12
     lam = Partition((12,))
+
+    def row_at_identity(value):
+        """A stand-in for the row kernel: value at the identity class, 0 elsewhere."""
+        return lambda lam_parts, types: tuple(value if t == identity else 0 for t in types)
+
     # every slot holds -1: the lowest one must read -1, not 2**k - 1
-    monkeypatch.setattr(permgroups, "mn_value", lambda lam, t: -1 if t == identity else 0)
+    monkeypatch.setattr(permgroups, "_mn", row_at_identity(-1))
     with pytest.raises(DomainError, match=f"nonintegral inner product -1/{group.order}$"):
         restriction_multiplicities(lam, group)
     # every slot holds |P| * 2**k, too wide for its k bits: each reads as |P|
     # in the slot above, and the top slot's excess is left over
     big = group.order << group._packed_sums[0]
-    monkeypatch.setattr(permgroups, "mn_value", lambda lam, t: big if t == identity else 0)
+    monkeypatch.setattr(permgroups, "_mn", row_at_identity(big))
     with pytest.raises(TheoremViolationError):
         restriction_multiplicities(lam, group)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -317,6 +318,88 @@ def test_sharp_examples():
     named = tuple(label.value(g) for g in group.generators)
     mults = restriction_multiplicities(Partition((3, 1)), group)
     assert [v for v, m in mults if m % 2] == [named]
+
+
+def _value_by_index_loop(label, perm):
+    """SylowLinearLabel.value as first written, one index per point; the reference."""
+    if len(perm) != label.n:
+        raise DomainError(f"degree mismatch: {len(perm)} vs {label.n}")
+    sign = 1
+    offset = 0
+    for size, bits in label.blocks:
+        local = [perm[offset + i] - offset for i in range(size)]
+        if any(not 0 <= x < size for x in local):
+            raise DomainError("permutation does not preserve the 2-adic blocks")
+        for level_bit in bits:
+            reversals = 0
+            nxt = []
+            for i in range(len(local) // 2):
+                a, b = local[2 * i], local[2 * i + 1]
+                if a >> 1 != b >> 1:
+                    raise DomainError("permutation does not preserve the pair tower")
+                reversals ^= a & 1
+                nxt.append(a >> 1)
+            if level_bit and reversals:
+                sign = -sign
+            local = nxt
+        offset += size
+    return sign
+
+
+def _outcome(value, label, perm):
+    try:
+        return value(label, perm)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _all_sylow_labels(n):
+    blocks = [1 << e for e in two_adic(n)]
+    levels = [size.bit_length() - 1 for size in blocks]
+    for flat in itertools.product((0, 1), repeat=sum(levels)):
+        bits, start = [], 0
+        for count in levels:
+            bits.append(flat[start : start + count])
+            start += count
+        yield SylowLinearLabel(tuple(zip(blocks, bits)))
+
+
+def test_sylow_label_value_refusals():
+    label = sharp_sn(Partition((5, 1)))  # blocks 4 and 2
+    with pytest.raises(DomainError, match="^degree mismatch: 5 vs 6$"):
+        label.value((0, 1, 2, 3, 4))
+    # 3 and 4 trade places across the blocks {0..3} and {4, 5}
+    with pytest.raises(DomainError, match="^permutation does not preserve the 2-adic blocks$"):
+        label.value((0, 1, 2, 4, 3, 5))
+    # the first block holds, the second reaches below its start
+    with pytest.raises(DomainError, match="^permutation does not preserve the 2-adic blocks$"):
+        label.value((0, 1, 2, 3, 1, 5))
+    # the pair {0, 1} is split
+    with pytest.raises(DomainError, match="^permutation does not preserve the pair tower$"):
+        label.value((1, 2, 0, 3, 4, 5))
+    # pairs kept, but the pairs of pairs {0..3} and {4..7} are not
+    label = SylowLinearLabel(((8, (0, 0, 0)),))
+    with pytest.raises(DomainError, match="^permutation does not preserve the pair tower$"):
+        label.value((0, 1, 4, 5, 2, 3, 6, 7))
+
+
+def test_sylow_label_value_matches_the_index_loop():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        labels = list(_all_sylow_labels(n))
+        gens = sylow2_subgroup(n).generators
+        products = []
+        for _ in range(20):
+            perm = tuple(range(n))
+            for g in rng.choices(gens, k=rng.randint(1, 12)) if gens else ():
+                perm = tuple(g[i] for i in perm)
+            products.append(perm)
+        # permutations outside the group take each refusal, in the same order
+        strangers = [tuple(rng.sample(range(n), n)) for _ in range(20)]
+        for label in labels:
+            for perm in (*gens, *products, *strangers):
+                old = _outcome(_value_by_index_loop, label, perm)
+                assert _outcome(SylowLinearLabel.value, label, perm) == old, (label, perm)
 
 
 def _odd_constituents(lam, group):

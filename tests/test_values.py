@@ -8,7 +8,15 @@ import pytest
 from oddchar.errors import DomainError
 from oddchar.glu import GLabel, kappa_q, parabolic_star
 from oddchar.omega import NormalizerLocalLabel, OmegaLabel, galois_act, sharp_glu
-from oddchar.partitions import HookPartition, Partition, Value
+from oddchar.partitions import (
+    HookPartition,
+    Partition,
+    Value,
+    binom_is_odd,
+    nu2,
+    odd_multinomial_order,
+    two_adic,
+)
 from oddchar.sym import SylowLinearLabel, WreathOddLabel, alpha_sn, sharp_sn
 
 
@@ -158,6 +166,11 @@ NON_INTEGERS = [
     ),
     (lambda: SylowLinearLabel.from_json([{"size": 2, "bits": [1.0]}]), "non-integer bits"),
     (lambda: SylowLinearLabel.from_json([{"size": 4.0, "bits": [0, 1]}]), "non-integer block sizes"),
+    # the public 2-adic helpers take the same check as the constructors
+    (lambda: two_adic(3.0), "non-integer n"),
+    (lambda: nu2(2.0), "non-integer r"),
+    (lambda: binom_is_odd(3.0, 1), "non-integer n or a"),
+    (lambda: odd_multinomial_order([1.0, 2]), "non-integer parts"),
 ]
 
 
@@ -181,6 +194,10 @@ NON_INTEGERS = [
         "omega-json",
         "sylow-json-bit",
         "sylow-json-size",
+        "two-adic",
+        "nu2",
+        "binom-is-odd",
+        "odd-multinomial-order",
     ],
 )
 def test_public_constructors_refuse_non_integers(make, message):
