@@ -21,6 +21,11 @@ order, so the types that share a first part share one rim-hook listing.
 Only the group structure and the MN rule enter; the oracle is deliberately
 independent of the wreath-tower labelling used by the correspondence modules
 (alpha_sn, hook_to_bits, the Gray code).
+
+The labels meet the group only through its generators. The sharp-oracle
+sweep walks each generator once (sym._tower_parities: per block and tower
+level, the parity of the pairs it reverses) and reads every label's values
+off those walks (SylowLinearLabel._signs: -1 to the sum of bit * parity).
 """
 
 import math
@@ -30,7 +35,7 @@ from operator import mul
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .characters import _mn
-from .partitions import Partition, two_adic
+from .partitions import Partition, _as_ints, two_adic
 
 __all__ = _HOMES["permgroups"]
 
@@ -155,8 +160,11 @@ def sylow2_subgroup(n):
     """An explicit Sylow 2-subgroup of the symmetric group on n points.
 
     Its order is the full 2-part of n!, 2**(n - popcount(n)). An order above
-    DEFAULT_CAP raises EnumerationCapError before anything is built.
+    DEFAULT_CAP raises EnumerationCapError before anything is built or looked
+    up. Each degree's group is built once per process and shared: callers
+    read it and never change it.
     """
+    (n,) = _as_ints("n", n)  # n is also the cache key: an int, never True or 8.0
     if n < 1:
         raise DomainError("n must be positive")
     order = 1 << (n - n.bit_count())
@@ -164,6 +172,11 @@ def sylow2_subgroup(n):
         raise EnumerationCapError(
             f"Sylow 2-subgroup of degree {n} has order {order} > cap {DEFAULT_CAP}"
         )
+    return _sylow2_subgroup(n)
+
+
+@cache
+def _sylow2_subgroup(n):
     return Sylow2Subgroup(n)
 
 

@@ -16,6 +16,7 @@ odd multiplicity in the restriction of the hook character.
 
 from functools import cache
 from itertools import product
+from operator import and_
 
 from . import _HOMES
 from .errors import DomainError, TheoremViolationError
@@ -54,8 +55,38 @@ class ThetaLabel(Value):
         return cls(tuple(HookPartition.from_json(h) for h in data))
 
 
+def _tower_parities(perm, sizes):
+    """(degree, parities): per block of the given sizes, in order, and per tower
+    level ascending, 1 when perm reverses an odd number of that level's pairs.
+
+    Refuses perm unless it keeps each block and maps each pair {2i, 2i + 1} of
+    each level onto one, so a repeated entry is refused too.
+    """
+    perm = _as_ints("permutation entries", *perm)
+    parities = []
+    offset = 0
+    for size in sizes:
+        local = [x - offset for x in perm[offset : offset + size]]
+        offset += size
+        if min(local) < 0 or max(local) >= size:
+            raise DomainError("permutation does not preserve the 2-adic blocks")
+        while local[1:]:
+            firsts = local[::2]
+            if any(a ^ b != 1 for a, b in zip(firsts, local[1::2])):
+                raise DomainError("permutation does not preserve the pair tower")
+            parities.append(sum(firsts) & 1)  # a pair is reversed when its first entry is odd
+            local = [a >> 1 for a in firsts]
+    return len(perm), parities
+
+
 class SylowLinearLabel(Value):
-    """Per 2-adic block of n, one bit per wreath-tower level (bit 0 = pairs)."""
+    """Per 2-adic block of n, one bit per wreath-tower level (bit 0 = pairs).
+
+    Its value on an element of sylow2_subgroup(n) is -1 to the sum of bit *
+    parity over blocks and levels. The parities do not depend on the label:
+    _tower_parities finds them in one walk of the element, and _signs reads
+    any label's value off that walk.
+    """
 
     __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
 
@@ -74,31 +105,24 @@ class SylowLinearLabel(Value):
     def n(self):
         return sum(size for size, _ in self.blocks)
 
+    def _signs(self, walks):
+        """The values on the elements that _tower_parities walked to (degree, parities)."""
+        bits = [bit for _, bits in self.blocks for bit in bits]
+        want = self.n
+        for n, _ in walks:
+            if n != want:
+                raise DomainError(f"degree mismatch: {n} vs {want}")
+        return tuple(-1 if sum(map(and_, bits, p)) & 1 else 1 for _, p in walks)
+
     def value(self, perm):
-        """Evaluate the labeled linear character on an element of sylow2_subgroup(n)."""
-        if len(perm) != self.n:
-            raise DomainError(f"degree mismatch: {len(perm)} vs {self.n}")
-        sign = 1
-        offset = 0
-        for size, bits in self.blocks:
-            block = perm[offset : offset + size]
-            if min(block) < offset or max(block) >= offset + size:
-                raise DomainError("permutation does not preserve the 2-adic blocks")
-            local = [x - offset for x in block]
-            for level_bit in bits:
-                reversals = 0
-                nxt = []
-                it = iter(local)
-                for a, b in zip(it, it):
-                    if a >> 1 != b >> 1:
-                        raise DomainError("permutation does not preserve the pair tower")
-                    reversals ^= a  # bit 0: parity of the swapped pairs
-                    nxt.append(a >> 1)
-                if level_bit and reversals & 1:
-                    sign = -sign
-                local = nxt
-            offset += size
-        return sign
+        """Evaluate the labeled linear character on an element of sylow2_subgroup(n).
+
+        A perm of another degree is not walked: _signs refuses its (degree, ()).
+        """
+        walk = (len(perm), ())
+        if len(perm) == self.n:
+            walk = _tower_parities(perm, [size for size, _ in self.blocks])
+        return self._signs([walk])[0]
 
     def to_json(self):
         return [{"size": size, "bits": list(bits)} for size, bits in self.blocks]

@@ -28,6 +28,7 @@ from .characters import (
 )
 from .permgroups import restriction_multiplicities, sylow2_subgroup
 from .sym import (
+    _tower_parities,
     alpha_sn,
     alpha_sn_inverse,
     count_odd_irr_sn,
@@ -168,10 +169,12 @@ def _check_sharp(n):
     ces = []
     checks = 0
     group = sylow2_subgroup(n)
+    sizes = [1 << e for e in group.blocks]
+    walks = [_tower_parities(g, sizes) for g in group.generators]  # shared by every label
     for lam in odd_partitions(n):
         checks += 1
         label = sharp_sn(lam)
-        named = tuple(label.value(g) for g in group.generators)
+        named = label._signs(walks)
         odd_at = [vals for vals, mult in restriction_multiplicities(lam, group) if mult % 2]
         if odd_at != [named]:
             ces.append(

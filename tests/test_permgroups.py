@@ -5,6 +5,7 @@ from oddchar.errors import DomainError, EnumerationCapError, TheoremViolationErr
 from oddchar.characters import degree, mn_value, odd_partitions
 from oddchar.partitions import Partition, partitions, two_adic
 from oddchar.permgroups import DEFAULT_CAP, restriction_multiplicities, sylow2_subgroup
+from oddchar.verify import run_suite
 
 
 def two_part_of_factorial(n):
@@ -226,6 +227,21 @@ def test_sylow_order_checked_against_cap_before_enumeration(monkeypatch):
         sylow2_subgroup(8)
     monkeypatch.setattr(permgroups, "DEFAULT_CAP", 128)
     assert sylow2_subgroup(8).order == 128
+
+
+def test_warm_sharp_oracle_pass_builds_no_group(monkeypatch):
+    run_suite("sharp-oracle", max_n=12)
+    built = []
+    init = permgroups.Sylow2Subgroup.__init__
+
+    def counting_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(permgroups.Sylow2Subgroup, "__init__", counting_init)
+    run_suite("sharp-oracle", max_n=12)
+    assert built == []
+    assert sylow2_subgroup(12) is sylow2_subgroup(12)
 
 
 def double_loop_multiplicities(lam, group):

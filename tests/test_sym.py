@@ -381,6 +381,16 @@ def test_sylow_label_value_refusals():
     label = SylowLinearLabel(((8, (0, 0, 0)),))
     with pytest.raises(DomainError, match="^permutation does not preserve the pair tower$"):
         label.value((0, 1, 4, 5, 2, 3, 6, 7))
+    # non-permutations: a repeated entry splits a pair at some level
+    for label, perm in [
+        (SylowLinearLabel(((2, (1,)),)), (0, 0)),
+        (SylowLinearLabel(((2, (1,)),)), (1, 1)),
+        (SylowLinearLabel(((4, (1, 1)),)), (0, 1, 1, 0)),
+        (SylowLinearLabel(((4, (1, 1)),)), (0, 1, 2, 2)),
+        (SylowLinearLabel(((4, (1, 1)),)), (0, 1, 0, 1)),
+    ]:
+        with pytest.raises(DomainError, match="^permutation does not preserve the pair tower$"):
+            label.value(perm)
 
 
 def test_sylow_label_value_matches_the_index_loop():
@@ -400,6 +410,26 @@ def test_sylow_label_value_matches_the_index_loop():
             for perm in (*gens, *products, *strangers):
                 old = _outcome(_value_by_index_loop, label, perm)
                 assert _outcome(SylowLinearLabel.value, label, perm) == old, (label, perm)
+
+
+def test_one_walk_then_the_sign_equals_value():
+    # what _check_sharp does: walk each element once, then read every label's sign off it
+    rng = random.Random(28)
+    for n in range(1, 13):
+        gens = sylow2_subgroup(n).generators
+        perms = list(gens)
+        for _ in range(20):
+            perm = tuple(range(n))
+            for g in rng.choices(gens, k=rng.randint(1, 12)) if gens else ():
+                perm = tuple(g[i] for i in perm)
+            perms.append(perm)
+        sizes = [1 << e for e in two_adic(n)]
+        walks = [sym._tower_parities(perm, sizes) for perm in perms]
+        other = SylowLinearLabel(((1 << n.bit_length(), (0,) * n.bit_length()),))
+        with pytest.raises(DomainError, match=f"^degree mismatch: {n} vs {other.n}$"):
+            other._signs(walks)
+        for label in _all_sylow_labels(n):
+            assert label._signs(walks) == tuple(label.value(perm) for perm in perms), label
 
 
 def _odd_constituents(lam, group):

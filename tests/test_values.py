@@ -17,6 +17,7 @@ from oddchar.partitions import (
     odd_multinomial_order,
     two_adic,
 )
+from oddchar.permgroups import sylow2_subgroup
 from oddchar.sym import SylowLinearLabel, WreathOddLabel, alpha_sn, sharp_sn
 
 
@@ -171,6 +172,11 @@ NON_INTEGERS = [
     (lambda: nu2(2.0), "non-integer r"),
     (lambda: binom_is_odd(3.0, 1), "non-integer n or a"),
     (lambda: odd_multinomial_order([1.0, 2]), "non-integer parts"),
+    # a permutation's entries, read where the walk starts
+    (lambda: SylowLinearLabel(((2, (1,)),)).value((0.0, 1.0)), "non-integer permutation entries"),
+    (lambda: SylowLinearLabel(((2, (1,)),)).value("ab"), "non-integer permutation entries"),
+    (lambda: sylow2_subgroup(8.0), "non-integer n"),
+    (lambda: sylow2_subgroup("3"), "non-integer n"),
 ]
 
 
@@ -198,6 +204,10 @@ NON_INTEGERS = [
         "nu2",
         "binom-is-odd",
         "odd-multinomial-order",
+        "sylow-value-float",
+        "sylow-value-str",
+        "sylow-subgroup-float",
+        "sylow-subgroup-str",
     ],
 )
 def test_public_constructors_refuse_non_integers(make, message):
