@@ -205,7 +205,7 @@ def _odd_layout(shape):
     """
     owner = {}
     for i, parts in enumerate(shape):
-        steps = _strip(Partition._trusted(parts, sum(parts)))
+        steps = _strip(parts)
         if steps is None:  # an even partition
             return None
         for _, m, leg in steps:

@@ -41,7 +41,11 @@ class ThetaLabel(Value):
     __slots__ = ("hooks",)
 
     def _validate(self):
-        check_two_adic_layout(tuple(h.m for h in self.hooks))
+        hooks = tuple(self.hooks)
+        for hook in hooks:
+            _check_type(hook, HookPartition)
+        check_two_adic_layout(tuple(h.m for h in hooks))
+        object.__setattr__(self, "hooks", hooks)
 
     @property
     def n(self):
@@ -53,6 +57,12 @@ class ThetaLabel(Value):
     @classmethod
     def from_json(cls, data):
         return cls(tuple(HookPartition.from_json(h) for h in data))
+
+
+def _check_type(value, cls):
+    """DomainError naming value's type unless it is a cls."""
+    if not isinstance(value, cls):
+        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
 
 
 def _tower_parities(perm, sizes):
@@ -150,15 +160,17 @@ class WreathOddLabel(Value):
         if odd_multinomial_order(ts) != ts:  # they carry, or are out of order
             raise DomainError("multiplicities must add without carry, by increasing 2-part")
         psis = [psi for psi, _ in self.base]
+        for lam in (*psis, *self.top):
+            _check_type(lam, Partition)
         if len(set(psis)) != len(psis):
             raise DomainError("base partitions must be pairwise distinct")
         for psi in psis:
-            if psi.n != k or _strip(psi) is None:
+            if psi.n != k or _strip(psi.parts) is None:
                 raise DomainError(f"{psi} is not an odd partition of {k}")
         if len(self.top) != len(self.base):
             raise DomainError("need one top partition per base entry")
         for alpha, t_i in zip(self.top, ts):
-            if alpha.n != t_i or _strip(alpha) is None:
+            if alpha.n != t_i or _strip(alpha.parts) is None:
                 raise DomainError(f"{alpha} is not an odd partition of {t_i}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "t", t)
@@ -173,17 +185,20 @@ class WreathOddLabel(Value):
         }
 
 
-def _strip(lam):
+@cache
+def _strip(parts):
     """Per 2-power block of n, largest first, the step (b, m, leg) moving bead b to b - m.
 
-    None exactly on the even partitions, where some block has other than one movable
-    bead. Beads are the first-column hook lengths, as in partitions._rim_hooks.
+    parts is a partition's parts tuple. None exactly on the even partitions, where
+    some block has other than one movable bead. Beads are the first-column hook
+    lengths, as in partitions._rim_hooks. Cached: every hook map and validator
+    shares one tuple of steps per partition, so none may change it.
     """
-    length = len(lam.parts)
-    beads = [p + length - i for i, p in enumerate(lam.parts, 1)]  # descending
+    length = len(parts)
+    beads = [p + length - i for i, p in enumerate(parts, 1)]  # descending
     occupied = set(beads)
     steps = []
-    for e in two_adic(lam.n):
+    for e in two_adic(sum(parts)):
         m = 1 << e
         found = None
         for i, b in enumerate(beads):  # descending: stop below m or at a second candidate
@@ -204,6 +219,15 @@ def _strip(lam):
         beads.insert(j, b - m)  # keeps the list descending
         occupied.remove(b)
         occupied.add(b - m)
+    return tuple(steps)
+
+
+def _odd_steps(lam):
+    """The strip of lam; DomainError unless lam is an odd Partition."""
+    _check_type(lam, Partition)
+    steps = _strip(lam.parts)
+    if steps is None:
+        raise DomainError(f"{lam} is not an odd partition")
     return steps
 
 
@@ -213,11 +237,9 @@ def star_sn(lam):
     The lowest hook H(2**k, a) keeps its branch of even leg: its top bead steps, or for
     odd a the bead above its foot. The walk carries that bead back up through the strip.
     """
+    steps = _odd_steps(lam)  # n = 0 and n = 1 strip, and are refused next
     if lam.n < 2:
         raise DomainError("need n >= 2")
-    steps = _strip(lam)
-    if steps is None:
-        raise DomainError(f"{lam} is not an odd partition")
     *higher, (y, m, a) = steps
     if a % 2:
         y -= m - 1
@@ -233,14 +255,13 @@ def star_sn(lam):
 
 def alpha_sn(lam):
     """Strip the unique rim hook of each 2-power block size, largest first; refuses even lam."""
-    steps = _strip(lam)
-    if steps is None:
-        raise DomainError(f"{lam} is not an odd partition")
+    steps = _odd_steps(lam)
     return ThetaLabel._trusted(tuple(HookPartition._trusted(m, leg) for _, m, leg in steps))
 
 
 def alpha_sn_inverse(theta):
     """Reattach hooks from the smallest block upward; inverse of alpha_sn, odd by construction."""
+    _check_type(theta, ThetaLabel)
     parts = ()
     for hook in reversed(theta.hooks):
         parts = _attach_parts(parts, hook.arm_count, hook.leg + 1)
@@ -285,6 +306,7 @@ def sharp_sn(lam):
 
 def sharp_sn_inverse(label):
     """The odd partition whose sharp label is the given one."""
+    _check_type(label, SylowLinearLabel)
     return alpha_sn_inverse(
         ThetaLabel(tuple(bits_to_hook(bits) for _, bits in label.blocks))
     )
@@ -304,6 +326,7 @@ def young_star(lam, blocks):
     block is a union of 2-adic blocks of n) and inverts sharp on each factor.
     Results follow the input block order.
     """
+    _check_type(lam, Partition)
     blocks = list(blocks)
     if odd_multinomial_order(blocks) is None:
         raise DomainError(f"Young subgroup {blocks} does not have odd index")
@@ -337,6 +360,7 @@ def theorem_d_star(lam, k, t):
     the remaining levels give the top label; keying each digit of t on its
     base label and inverting sharp per group yields the (base, top) pair.
     """
+    _check_type(lam, Partition)
     odd_index = wreath_index_is_odd(k, t)  # refuses k or t < 1
     n = k * t
     if lam.n != n:

@@ -208,6 +208,25 @@ def test_alpha_strip_is_the_oddness_test():
                 assert is_odd_partition(lam), lam
 
 
+def test_cached_strip_is_the_strip():
+    strip = sym._strip.__wrapped__
+    for n in range(19):
+        for lam in partitions(n):
+            steps = sym._strip(lam.parts)
+            assert steps == strip(lam.parts), lam
+            assert type(steps) is tuple if is_odd_partition(lam) else steps is None, lam
+
+
+def test_a_pass_strips_each_partition_once():
+    verify.run_suite("alpha-bij", max_n=12)
+    misses = sym._strip.cache_info().misses
+    verify.run_suite("sn-star", max_n=12)
+    verify.run_suite("alpha-bij", max_n=12)
+    verify.run_suite("sharp-oracle", max_n=12)
+    verify.run_suite("sharp-oracle", max_n=12)
+    assert sym._strip.cache_info().misses == misses
+
+
 def test_hook_census_is_the_odd_partitions():
     for n in range(33):
         census = sym._hook_census(n)
@@ -268,6 +287,7 @@ def test_hook_maps_need_no_parity_oracle(monkeypatch):
             if name.partition(".")[0] == "oddchar" and oracle in vars(module):
                 monkeypatch.setattr(module, oracle, refuse)
     sym._hook_census.cache_clear()
+    sym._strip.cache_clear()
     glu._odd_layout.cache_clear()
     assert [star_sn(lam) for lam in census] == stars
     assert [glu.parabolic_star(label) for label in plus] == parabolic

@@ -18,7 +18,18 @@ from oddchar.partitions import (
     two_adic,
 )
 from oddchar.permgroups import sylow2_subgroup
-from oddchar.sym import SylowLinearLabel, WreathOddLabel, alpha_sn, sharp_sn
+from oddchar.sym import (
+    SylowLinearLabel,
+    ThetaLabel,
+    WreathOddLabel,
+    alpha_sn,
+    alpha_sn_inverse,
+    sharp_sn,
+    sharp_sn_inverse,
+    star_sn,
+    theorem_d_star,
+    young_star,
+)
 
 
 def _glabel():
@@ -213,6 +224,52 @@ NON_INTEGERS = [
 def test_public_constructors_refuse_non_integers(make, message):
     with pytest.raises(DomainError, match=message):
         make()
+
+
+NOT_VALUES = [(3, 1), [3, 1], 4, None, HookPartition(2, 1)]
+
+
+@pytest.mark.parametrize("value", NOT_VALUES, ids=lambda value: type(value).__name__)
+def test_hook_maps_refuse_a_value_of_another_class(value):
+    name = type(value).__name__
+    calls = [
+        (alpha_sn, "Partition"),
+        (star_sn, "Partition"),
+        (sharp_sn, "Partition"),
+        (lambda x: young_star(x, [4]), "Partition"),
+        (lambda x: theorem_d_star(x, 2, 2), "Partition"),
+        (alpha_sn_inverse, "ThetaLabel"),
+        (sharp_sn_inverse, "SylowLinearLabel"),
+    ]
+    for call, needed in calls:
+        with pytest.raises(DomainError, match=f"^need a {needed}, got {name}$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: WreathOddLabel(3, 1, (((3,), 1),), (Partition((1,)),)), "tuple"),
+        (lambda: WreathOddLabel(3, 1, (([3], 1),), (Partition((1,)),)), "list"),
+        (lambda: WreathOddLabel(3, 1, ((Partition((3,)), 1),), ((1,),)), "tuple"),
+        (lambda: WreathOddLabel(3, 1, ((Partition((3,)), 1),), (HookPartition(1, 0),)), "HookPartition"),
+    ],
+    ids=["base-tuple", "base-list", "top-tuple", "top-hook"],
+)
+def test_wreath_label_refuses_a_partition_of_another_class(make, name):
+    with pytest.raises(DomainError, match=f"^need a Partition, got {name}$"):
+        make()
+
+
+def test_theta_label_holds_a_tuple_of_hooks():
+    hooks = [HookPartition(2, 1), HookPartition(1, 0)]
+    theta = ThetaLabel(hooks)
+    assert theta.hooks == tuple(hooks) and type(theta.hooks) is tuple
+    assert hash(theta) == hash(ThetaLabel(tuple(hooks)))
+    assert alpha_sn(alpha_sn_inverse(theta)) == theta
+    for hooks, name in [(((2, 1),), "tuple"), ((Partition((2,)),), "Partition"), ([2], "int")]:
+        with pytest.raises(DomainError, match=f"^need a HookPartition, got {name}$"):
+            ThetaLabel(hooks)
 
 
 def test_integer_like_fields_become_ints():
