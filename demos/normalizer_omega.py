@@ -2,8 +2,8 @@
 """Normalizer-side coordinates, Galois orbits and the real-character count.
 
 Transports a label to its per-block (residue, hook) coordinates, checks
-equivariance on a Galois orbit, round-trips the raw normalizer data, and
-matches the conjugation-fixed census against the closed form.
+equivariance on a Galois orbit, and matches the conjugation-fixed census
+against the closed form.
 """
 
 import math
@@ -13,8 +13,6 @@ from oddchar import (
     Partition,
     count_real_odd,
     galois_act,
-    local_to_omega,
-    omega_to_local,
     outer_act,
     sharp_glu,
     sharp_glu_inverse,
@@ -57,21 +55,6 @@ def show_galois_orbit():
     print()
 
 
-def show_local_round_trip():
-    print("Raw normalizer data (gamma, delta, j, k) <-> (residue, hook), size 8:")
-    for s, leg in [(0, 0), (5, 5), (7, 3)]:
-        from oddchar.partitions import HookPartition
-
-        loc = omega_to_local("+", 9, s, HookPartition(8, leg))
-        back = local_to_omega(loc)
-        print(
-            f"  s={s} leg={leg}: gamma={loc.gamma} delta={loc.delta} "
-            f"j={loc.j} k={loc.k} -> {back[0]}, leg {back[1].leg}"
-        )
-        assert back == (s, HookPartition(8, leg))
-    print()
-
-
 def show_real_counts():
     print("Conjugation-fixed odd labels vs 2^(n_1+...+n_r+r):")
     for n in range(1, 9):
@@ -85,5 +68,4 @@ def show_real_counts():
 if __name__ == "__main__":
     show_sharp()
     show_galois_orbit()
-    show_local_round_trip()
     show_real_counts()

@@ -20,13 +20,11 @@ _HOMES = {
         "Partition",
         "attach_unique_gamma",
         "binom_is_odd",
-        "m_core",
         "nu2",
         "odd_multinomial_order",
         "partitions",
         "rim_hooks_of_length",
         "two_adic",
-        "unique_descent",
     ),
     "characters": (
         "branch_restrict",
@@ -65,22 +63,17 @@ _HOMES = {
         "count_odd_irr_gl",
         "enumerate_odd_labels",
         "is_odd_label",
-        "is_prime_power_odd",
         "odd_label_count",
         "parabolic_star",
         "real_label_count",
-        "sl_correspondence_data",
         "sl_label_census",
     ),
     "omega": (
-        "NormalizerLocalLabel",
         "OmegaLabel",
         "count_real_odd",
         "enumerate_omega_labels",
         "galois_act",
         "levi_star",
-        "local_to_omega",
-        "omega_to_local",
         "outer_act",
         "sharp_glu",
         "sharp_glu_inverse",

@@ -13,21 +13,14 @@ from itertools import product
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
-from .partitions import HookPartition, Partition, Value, _as_ints, nu2, two_adic
+from .partitions import HookPartition, Partition, Value, _as_ints, _as_tuple, nu2, two_adic
 from .sym import _hook_census, _strip, star_sn
 
 __all__ = _HOMES["glu"]
 
 
-KappaQ = namedtuple(
-    "KappaQ",
-    (
-        "modulus",  # q - kappa*1, the order of the residue group
-        "two",  # 2-part of the modulus
-        "odd",  # odd part of the modulus
-        "p",  # the characteristic: q is a power of p
-    ),
-)
+# modulus: q - kappa*1, the order of the residue group; p: the characteristic, q a power of p
+KappaQ = namedtuple("KappaQ", ("modulus", "p"))
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound,
@@ -103,18 +96,7 @@ def kappa_q(kappa, q):
     p = _prime_base(q) if q >= 3 and q % 2 else None
     if p is None:
         raise DomainError(f"q={q} is not an odd prime power")
-    mod = q - 1 if kappa == "+" else q + 1
-    two = mod & -mod
-    return KappaQ(mod, two, mod // two, p)
-
-
-def is_prime_power_odd(q):
-    """True iff q is a power of an odd prime."""
-    try:
-        kappa_q("+", q)
-    except DomainError:
-        return False
-    return True
+    return KappaQ(q - 1 if kappa == "+" else q + 1, p)
 
 
 class GLabel(Value):
@@ -129,9 +111,10 @@ class GLabel(Value):
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
-        if not self.pairs:
+        pairs = [_as_tuple("pair", pair, 2) for pair in _as_tuple("pairs", self.pairs)]
+        if not pairs:
             raise DomainError("a label needs at least one pair")
-        residues, lams = zip(*self.pairs)
+        residues, lams = zip(*pairs)
         residues = _as_ints("residues", *residues)
         if any(not 0 <= s < mod for s in residues):
             raise DomainError(f"residues must lie in [0, {mod})")
@@ -158,11 +141,9 @@ class GLabel(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["kappa"],
-            data["q"],
-            tuple((p["s"], Partition.from_json(p["lambda"])) for p in data["pairs"]),
-        )
+        kappa, q, pairs = _as_tuple("label", data, ("kappa", "q", "pairs"))
+        pairs = [_as_tuple("pair", p, ("s", "lambda")) for p in _as_tuple("pairs", pairs)]
+        return cls(kappa, q, tuple((s, Partition.from_json(lam)) for s, lam in pairs))
 
 
 def _residue(pair):
@@ -301,21 +282,6 @@ def count_odd_irr_gl(n, q, kappa):
         if not is_odd_label(label):
             raise TheoremViolationError(f"enumerated label is not odd: {label}")
     return len(labels)
-
-
-def sl_correspondence_data(label):
-    """Restriction data for the special linear group at odd rank.
-
-    Returns (irreducible_restriction, correspondent) where the flag is the
-    pairwise-distinctness criterion on (k_1 - 1, k_2, ..., k_m) with a zero
-    first entry dropped, and the correspondent is the rank n-1 label of the
-    parabolic correspondent restricted to its Levi part.
-    """
-    if label.n % 2 == 0:
-        raise DomainError("need odd rank n")
-    rest = parabolic_star(label).rest
-    flag = len({lam.n for _, lam in rest.pairs}) == len(rest.pairs)
-    return flag, rest
 
 
 def sl_label_census(n, q):

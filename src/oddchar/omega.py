@@ -18,6 +18,7 @@ from .partitions import (
     HookPartition,
     Value,
     _as_ints,
+    _as_tuple,
     check_two_adic_layout,
     odd_multinomial_order,
     split_by_digit,
@@ -36,9 +37,10 @@ class OmegaLabel(Value):
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
-        if not self.blocks:
+        blocks = [_as_tuple("block", block, 3) for block in _as_tuple("blocks", self.blocks)]
+        if not blocks:
             raise DomainError("a label needs at least one block")
-        sizes, residues, hooks = zip(*self.blocks)
+        sizes, residues, hooks = zip(*blocks)
         sizes = _as_ints("block sizes", *sizes)
         residues = _as_ints("residues", *residues)
         check_two_adic_layout(sizes)
@@ -70,78 +72,9 @@ class OmegaLabel(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["kappa"],
-            data["q"],
-            tuple(
-                (b["size"], b["s"], HookPartition.from_json(b["hook"])) for b in data["blocks"]
-            ),
-        )
-
-
-class NormalizerLocalLabel(Value):
-    """Raw normalizer data for one 2-power block of size 2**m.
-
-    gamma indexes a character of the 2-part of the ambient cyclic group,
-    delta one of the odd part; for m >= 1 the bit j and the top-hook selector
-    k (the leg of the hook of the half-size quotient) pin the block hook via
-    leg = 2k + j. For m = 0 only the residue data remains.
-    """
-
-    __slots__ = ("kappa", "q", "m", "gamma", "delta", "j", "k")
-
-    def __init__(self, kappa, q, m, gamma, delta, j=None, k=None):
-        super().__init__(kappa, q, m, gamma, delta, j, k)
-
-    def _validate(self):
-        _, two, odd, _ = kappa_q(self.kappa, self.q)
-        for name in ("m", "gamma", "delta", "j", "k"):
-            value = getattr(self, name)
-            if value is not None or name in ("m", "gamma", "delta"):  # j, k are absent at m = 0
-                object.__setattr__(self, name, *_as_ints(name, value))
-        if self.m < 0:
-            raise DomainError("m must be nonnegative")
-        if not 0 <= self.gamma < two:
-            raise DomainError(f"gamma {self.gamma} out of range [0, {two})")
-        if not 0 <= self.delta < odd:
-            raise DomainError(f"delta {self.delta} out of range [0, {odd})")
-        if self.m == 0:
-            if self.j is not None or self.k is not None:
-                raise DomainError("j and k are absent for a block of size 1")
-        else:
-            if self.j not in (0, 1):
-                raise DomainError("j must be 0 or 1")
-            if self.k is None or not 0 <= self.k <= (1 << (self.m - 1)) - 1:
-                raise DomainError(f"k out of range [0, 2^{self.m - 1} - 1]")
-
-    @property
-    def modulus(self):
-        return kappa_q(self.kappa, self.q).modulus
-
-
-def local_to_omega(loc):
-    """Fuse (gamma, delta) into one residue and build the hook with leg 2k + j."""
-    _, two, odd, _ = kappa_q(loc.kappa, loc.q)
-    # Chinese remainder: s = gamma mod two, s = delta mod odd
-    s = loc.gamma + two * ((loc.delta - loc.gamma) * pow(two, -1, odd) % odd)
-    if loc.m == 0:
-        return s, HookPartition(1, 0)
-    return s, HookPartition(1 << loc.m, 2 * loc.k + loc.j)
-
-
-def omega_to_local(kappa, q, s, hook):
-    """Inverse of local_to_omega; total on well-formed blocks."""
-    mod, two, odd, _ = kappa_q(kappa, q)
-    if not 0 <= s < mod:
-        raise DomainError(f"residue {s} out of range [0, {mod})")
-    m = hook.m.bit_length() - 1
-    if hook.m != 1 << m:
-        raise DomainError(f"block size {hook.m} is not a 2-power")
-    if m == 0:
-        return NormalizerLocalLabel(kappa, q, 0, s % two, s % odd)
-    return NormalizerLocalLabel(
-        kappa, q, m, s % two, s % odd, j=hook.leg & 1, k=hook.leg >> 1
-    )
+        kappa, q, blocks = _as_tuple("label", data, ("kappa", "q", "blocks"))
+        blocks = [_as_tuple("block", b, ("size", "s", "hook")) for b in _as_tuple("blocks", blocks)]
+        return cls(kappa, q, tuple((size, s, HookPartition.from_json(h)) for size, s, h in blocks))
 
 
 def sharp_glu(label):
@@ -187,7 +120,7 @@ def levi_star(label, blocks):
     (each a union of 2-adic blocks of n) and inverts the normalizer bijection
     on each factor; results follow the input block order.
     """
-    blocks = list(blocks)
+    blocks = list(_as_tuple("blocks", blocks))
     if odd_multinomial_order(blocks) is None:
         raise DomainError(f"Levi blocks {blocks} do not have odd index")
     if sum(blocks) != label.n:
@@ -235,7 +168,7 @@ def galois_act(i, x):
 
 def outer_act(word, x):
     """Apply a word in the outer generators 'F' (s -> s^p) and 'tau' (s -> s^-1)."""
-    mod, _, _, p = _family(x)
+    mod, p = _family(x)
     if isinstance(word, str):
         word = word.split()
     exponent = 1

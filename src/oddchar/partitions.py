@@ -1,4 +1,4 @@
-"""Partitions, hooks, rim hooks, m-cores and 2-adic arithmetic.
+"""Partitions, hooks, rim hooks and 2-adic arithmetic.
 
 Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call from parallel sweeps.
@@ -90,6 +90,23 @@ def _as_ints(what, *values):
         raise DomainError(f"non-integer {what} in {values}") from None
 
 
+def _as_tuple(what, value, shape=None):
+    """The field value as a tuple; DomainError, not TypeError, where it is none.
+
+    shape is None for any length, a count of entries, or the keys of a mapping
+    (a JSON object) whose entries are read in that order.
+    """
+    keys = shape if shape.__class__ is tuple else ()
+    try:
+        items = tuple([value[key] for key in keys]) if keys else tuple(value)
+    except (TypeError, LookupError):
+        wanted = f"a mapping with keys {keys}" if keys else "a sequence"
+        raise DomainError(f"{what} must be {wanted}, got {type(value).__name__}") from None
+    if shape.__class__ is int and len(items) != shape:
+        raise DomainError(f"{what} must have {shape} entries, got {len(items)}")
+    return items
+
+
 class Partition(Value):
     """A weakly decreasing tuple of positive integers; () is the partition of 0.
 
@@ -99,7 +116,7 @@ class Partition(Value):
     __slots__ = ("parts", "n")
 
     def __init__(self, parts=()):
-        parts = _as_ints("parts", *parts)
+        parts = _as_ints("parts", *_as_tuple("parts", parts))
         for i, p in enumerate(parts):
             if p < 1:
                 raise DomainError(f"parts must be positive, got {parts}")
@@ -192,7 +209,7 @@ class HookPartition(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["m"], data["leg"])
+        return cls(*_as_tuple("hook", data, ("m", "leg")))
 
 
 def two_adic(n):
@@ -273,19 +290,6 @@ def odd_multinomial_order(parts):
     return sorted(parts, key=nu2)
 
 
-def unique_descent(n, a):
-    """The unique c in {a-1, a} with C(n-1, c) odd, given that C(n, a) is odd."""
-    if not 0 < a < n:
-        raise DomainError(f"need 0 < a < n, got n={n}, a={a}")
-    if not binom_is_odd(n, a):
-        raise DomainError(f"C({n},{a}) is even")
-    lo = binom_is_odd(n - 1, a - 1)
-    hi = binom_is_odd(n - 1, a)
-    if lo == hi:
-        raise TheoremViolationError(f"descent from C({n},{a}) not unique")
-    return a - 1 if lo else a
-
-
 def rim_hooks_of_length(lam, m):
     """All removable rim hooks of length m of lam.
 
@@ -337,18 +341,6 @@ def _rim_hooks(parts, m):
             rest = tuple([p for p in rest if p > 0])
         assert sum(rest) == size
         yield below - 1 - i, rest
-
-
-def m_core(lam, m):
-    """Strip rim m-hooks until none remain; the result is removal-order independent."""
-    if m < 1:
-        raise DomainError("m must be positive")
-    cur = lam
-    while True:
-        hooks = rim_hooks_of_length(cur, m)
-        if not hooks:
-            return cur
-        cur = hooks[0][1]
 
 
 def _attach_parts(parts, k, h):

@@ -25,6 +25,7 @@ from .partitions import (
     Partition,
     Value,
     _as_ints,
+    _as_tuple,
     _attach_parts,
     check_two_adic_layout,
     odd_multinomial_order,
@@ -41,7 +42,7 @@ class ThetaLabel(Value):
     __slots__ = ("hooks",)
 
     def _validate(self):
-        hooks = tuple(self.hooks)
+        hooks = _as_tuple("hooks", self.hooks)
         for hook in hooks:
             _check_type(hook, HookPartition)
         check_two_adic_layout(tuple(h.m for h in hooks))
@@ -56,7 +57,7 @@ class ThetaLabel(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(HookPartition.from_json(h) for h in data))
+        return cls(tuple(HookPartition.from_json(h) for h in _as_tuple("hooks", data)))
 
 
 def _check_type(value, cls):
@@ -101,11 +102,11 @@ class SylowLinearLabel(Value):
     __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
 
     def _validate(self):
-        sizes = _as_ints("block sizes", *(size for size, _ in self.blocks))
+        blocks = [_as_tuple("block", block, 2) for block in _as_tuple("blocks", self.blocks)]
+        sizes = _as_ints("block sizes", *(size for size, _ in blocks))
         check_two_adic_layout(sizes)
-        blocks = tuple(
-            (size, _as_ints("bits", *bits)) for size, (_, bits) in zip(sizes, self.blocks)
-        )
+        bits = [_as_ints("bits", *_as_tuple("bits", b)) for _, b in blocks]
+        blocks = tuple(zip(sizes, bits))
         for size, bits in blocks:
             if len(bits) != size.bit_length() - 1 or any(b not in (0, 1) for b in bits):
                 raise DomainError(f"bad bit vector {bits} for block size {size}")
@@ -139,7 +140,8 @@ class SylowLinearLabel(Value):
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple((b["size"], tuple(b["bits"])) for b in data))
+        blocks = _as_tuple("blocks", data)
+        return cls(tuple(_as_tuple("block", b, ("size", "bits")) for b in blocks))
 
 
 class WreathOddLabel(Value):
@@ -154,27 +156,30 @@ class WreathOddLabel(Value):
 
     def _validate(self):
         k, t = _as_ints("k or t", self.k, self.t)
-        ts = list(_as_ints("multiplicities", *[t_i for _, t_i in self.base]))
+        base = [_as_tuple("base entry", entry, 2) for entry in _as_tuple("base", self.base)]
+        top = _as_tuple("top", self.top)
+        ts = list(_as_ints("multiplicities", *[t_i for _, t_i in base]))
         if sum(ts) != t:
             raise DomainError("multiplicities must sum to t")
         if odd_multinomial_order(ts) != ts:  # they carry, or are out of order
             raise DomainError("multiplicities must add without carry, by increasing 2-part")
-        psis = [psi for psi, _ in self.base]
-        for lam in (*psis, *self.top):
+        psis = [psi for psi, _ in base]
+        for lam in (*psis, *top):
             _check_type(lam, Partition)
         if len(set(psis)) != len(psis):
             raise DomainError("base partitions must be pairwise distinct")
         for psi in psis:
             if psi.n != k or _strip(psi.parts) is None:
                 raise DomainError(f"{psi} is not an odd partition of {k}")
-        if len(self.top) != len(self.base):
+        if len(top) != len(base):
             raise DomainError("need one top partition per base entry")
-        for alpha, t_i in zip(self.top, ts):
+        for alpha, t_i in zip(top, ts):
             if alpha.n != t_i or _strip(alpha.parts) is None:
                 raise DomainError(f"{alpha} is not an odd partition of {t_i}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "base", tuple(zip(psis, ts)))
+        object.__setattr__(self, "top", top)
 
     def to_json(self):
         return {
@@ -327,7 +332,7 @@ def young_star(lam, blocks):
     Results follow the input block order.
     """
     _check_type(lam, Partition)
-    blocks = list(blocks)
+    blocks = list(_as_tuple("blocks", blocks))
     if odd_multinomial_order(blocks) is None:
         raise DomainError(f"Young subgroup {blocks} does not have odd index")
     if sum(blocks) != lam.n:

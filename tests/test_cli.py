@@ -826,6 +826,20 @@ def test_demo_runs(demo):
     assert out.stdout.strip()
 
 
+# SHA-256 of each demo's stdout: a demo's narrative changes only on purpose.
+DEMO_STDOUT_SHA256 = {
+    "gl_gu_labels.py": "1b993c31b4e5e077cdb50b661281bea315bfbcd4f765233e9e9044675ece69e5",
+    "normalizer_omega.py": "7b9af14242ca793171ac12e3fdb5a37e342a46a044154a8cc0d1c46b54de6183",
+    "symmetric_correspondences.py": "307d47c8ef3d82f95ad314587044a1844d82ab88bf2b4ab1ce4351d843413359",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_stdout_bytes(demo):
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=60, check=True)
+    assert hashlib.sha256(out.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name]
+
+
 def test_cli_byte_identical_runs():
     cmd = [sys.executable, "-m", "oddchar.cli", "alpha", "2,2,1"]
     first = subprocess.run(cmd, capture_output=True, check=True)

@@ -15,10 +15,8 @@ from oddchar.glu import (
     count_odd_irr_gl,
     enumerate_odd_labels,
     is_odd_label,
-    is_prime_power_odd,
     kappa_q,
     parabolic_star,
-    sl_correspondence_data,
     sl_label_census,
 )
 from oddchar.omega import levi_star, sharp_glu, sharp_glu_inverse
@@ -33,14 +31,10 @@ def closed_form(n, q, kappa):
 
 
 def test_prime_power_detection():
-    assert is_prime_power_odd(3)
-    assert is_prime_power_odd(9)
-    assert is_prime_power_odd(27)
-    assert is_prime_power_odd(7)
-    assert not is_prime_power_odd(2)
-    assert not is_prime_power_odd(8)
-    assert not is_prime_power_odd(15)
-    assert not is_prime_power_odd(1)
+    assert [kappa_q("+", q).p for q in (3, 9, 27, 7)] == [3, 3, 3, 7]
+    for q in (2, 8, 15, 1):
+        with pytest.raises(DomainError, match=f"^q={q} is not an odd prime power$"):
+            kappa_q("+", q)
     with pytest.raises(DomainError):
         GLabel("+", 15, ((0, Partition((1,))),))
 
@@ -62,10 +56,13 @@ def test_prime_power_test_at_large_q():
     assert kappa_q("+", big).p == big
     assert kappa_q("-", 3**45).p == 3
     assert kappa_q("+", 1000000007**2).p == 1000000007
-    assert not is_prime_power_odd(1000000007 * 998244353)
-    assert not is_prime_power_odd(1000000007**2 * 3)
-    assert not is_prime_power_odd(Q_LIMIT + 2)  # beyond the exact range: refused
-    assert 3**52 > Q_LIMIT and not is_prime_power_odd(3**52)
+    for q in (1000000007 * 998244353, 1000000007**2 * 3):
+        with pytest.raises(DomainError, match="is not an odd prime power"):
+            kappa_q("+", q)
+    assert 3**52 > Q_LIMIT
+    for q in (Q_LIMIT + 2, 3**52):  # beyond the exact range: refused
+        with pytest.raises(DomainError, match="is too large"):
+            kappa_q("+", q)
 
 
 def test_glabel_validation():
@@ -227,17 +224,6 @@ def test_parabolic_star_iterates_to_rank_one():
             assert cur.n == 1
 
 
-def test_sl_correspondence():
-    flag, rest = sl_correspondence_data(GLabel("+", 3, ((1, Partition((3,))),)))
-    assert flag and rest.pairs == ((1, Partition((2,))),)
-    flag, rest = sl_correspondence_data(
-        GLabel("+", 3, ((0, Partition((1,))), (1, Partition((2,)))))
-    )
-    assert flag and rest.pairs == ((1, Partition((2,))),)
-    with pytest.raises(DomainError):
-        sl_correspondence_data(GLabel("+", 3, ((1, Partition((2,))),)))
-
-
 def test_sl_census_identity():
     for n in (3, 5, 7):
         for q in (3, 5, 7, 9):
@@ -253,11 +239,12 @@ def test_sl_census_refuses_even_rank(n):
         sl_label_census(n, 3)
 
 
-def test_sl_flag_always_true_on_odd_labels():
+def test_parabolic_rest_has_distinct_pair_sizes():
+    # the pair sizes of the rest own disjoint binary digits of n - 1
     for n in (3, 5, 7):
         for label in enumerate_odd_labels(n, 5, "+"):
-            flag, _ = sl_correspondence_data(label)
-            assert flag
+            rest = parabolic_star(label).rest
+            assert len({lam.n for _, lam in rest.pairs}) == len(rest.pairs)
 
 
 def test_levi_star_examples():

@@ -8,53 +8,15 @@ from oddchar.errors import DomainError
 from oddchar.partitions import HookPartition, Partition, two_adic
 from oddchar.glu import GLabel, enumerate_odd_labels
 from oddchar.omega import (
-    NormalizerLocalLabel,
     OmegaLabel,
     count_real_odd,
     enumerate_omega_labels,
     galois_act,
-    local_to_omega,
-    omega_to_local,
     outer_act,
     sharp_glu,
     sharp_glu_inverse,
 )
-from oddchar.sym import wreath_odd_labels
-
-
-def test_local_to_omega_examples():
-    loc = NormalizerLocalLabel("+", 3, 1, 0, 0, j=0, k=0)
-    assert local_to_omega(loc)[1] == HookPartition(2, 0)
-    loc = NormalizerLocalLabel("+", 3, 1, 0, 0, j=1, k=0)
-    assert local_to_omega(loc)[1] == HookPartition(2, 1)
-    loc = NormalizerLocalLabel("+", 3, 3, 0, 0, j=1, k=2)
-    assert local_to_omega(loc)[1] == HookPartition(8, 5)  # (3,1,1,1,1,1)
-
-
-def test_local_round_trips():
-    cases = [("+", 3), ("-", 3), ("+", 9), ("-", 5)]
-    # moduli 6, 10, 24, 12, 14, 28: odd parts 3, 5, 7 and 2-parts up to 8
-    cases += [("+", 7), ("+", 11), ("+", 25), ("-", 11), ("-", 13), ("-", 27)]
-    for kappa, q in cases:
-        mod = q - 1 if kappa == "+" else q + 1
-        for m in range(0, 5):
-            for s in range(mod):
-                for leg in range(1 << m):
-                    hook = HookPartition(1 << m, leg)
-                    loc = omega_to_local(kappa, q, s, hook)
-                    assert local_to_omega(loc) == (s, hook)
-    # and in the other direction the (gamma, delta) pair is a CRT split
-    loc = omega_to_local("+", 9, 5, HookPartition(4, 3))
-    assert (loc.gamma, loc.delta) == (5 % 8, 0)
-
-
-def test_local_label_validation():
-    with pytest.raises(DomainError):
-        NormalizerLocalLabel("+", 3, 0, 0, 0, j=0, k=0)  # j,k absent for m=0
-    with pytest.raises(DomainError):
-        NormalizerLocalLabel("+", 3, 2, 0, 0, j=2, k=0)
-    with pytest.raises(DomainError):
-        NormalizerLocalLabel("+", 3, 2, 0, 0, j=0, k=2)
+from oddchar.sym import ThetaLabel, wreath_odd_labels
 
 
 def test_sharp_glu_examples():
@@ -116,7 +78,7 @@ def test_outer_act_examples():
 
 def test_actions_refuse_non_labels_before_reading_them():
     for act in (lambda x: galois_act(3, x), lambda x: outer_act("F", x)):
-        for x in (5, Partition((1,)), NormalizerLocalLabel("+", 3, 0, 0, 0)):
+        for x in (5, Partition((1,)), ThetaLabel((HookPartition(1, 0),))):
             with pytest.raises(DomainError, match=f"cannot act on {type(x).__name__}"):
                 act(x)
 

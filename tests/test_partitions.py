@@ -20,13 +20,11 @@ from oddchar.partitions import (
     attach_unique_gamma,
     binom_is_odd,
     conjugate_parts,
-    m_core,
     nu2,
     odd_multinomial_order,
     partitions,
     rim_hooks_of_length,
     two_adic,
-    unique_descent,
 )
 from oddchar.sym import SylowLinearLabel, ThetaLabel, alpha_sn, sharp_sn
 
@@ -351,28 +349,17 @@ def test_odd_multinomial_order_matches_factorials(parts):
         assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
 
-def test_unique_descent_examples():
-    assert unique_descent(6, 2) == 1
-    assert unique_descent(3, 1) == 0
-    # C(6,2) = 15 odd and C(6,3) = 20 even, so the descent from (7,3) is 2;
-    # nu2(3) <= nu2(4) forces a-1 as well
-    assert math.comb(6, 2) % 2 == 1 and math.comb(6, 3) % 2 == 0
-    assert unique_descent(7, 3) == 2
-    with pytest.raises(DomainError):
-        unique_descent(4, 2)  # C(4,2) even
-
-
-def test_unique_descent_matches_pascal_and_second_claim():
+def test_odd_binomial_has_one_odd_descent():
+    # C(n, a) odd with 0 < a < n: exactly one of C(n-1, a-1), C(n-1, a) is odd,
+    # and it is C(n-1, a-1) when nu2(a) <= nu2(n-a)
     for n in range(2, 65):
         for a in range(1, n):
             if not binom_is_odd(n, a):
                 continue
-            c = unique_descent(n, a)
-            assert PASCAL[n - 1][c] == 1
-            other = a - 1 if c == a else a
-            assert PASCAL[n - 1][other] == 0
+            odd = [c for c in (a - 1, a) if PASCAL[n - 1][c]]
+            assert len(odd) == 1, (n, a)
             if nu2(a) <= nu2(n - a):
-                assert c == a - 1
+                assert odd == [a - 1]
 
 
 # ---------------------------------------------------------------- rim hooks
@@ -429,29 +416,21 @@ def test_rim_hook_geometry_invariants():
                     assert hook.m == m
 
 
-def test_m_core_examples():
-    assert m_core(Partition((2, 2, 1)), 4) == Partition((1,))
-    assert m_core(Partition((5,)), 7) == Partition((5,))
-    assert m_core(Partition((2, 1)), 3) == Partition()
-
-
-def test_m_core_order_independent():
-    def all_cores(lam, m):
+def test_rim_hook_removal_leaves_one_core():
+    # removing rim m-hooks in any order until none is left ends at one m-core
+    def cores(lam, m):
         hooks = rim_hooks_of_length(lam, m)
         if not hooks:
             return {lam}
-        cores = set()
-        for _, rest in hooks:
-            cores |= all_cores(rest, m)
-        return cores
+        return set().union(*(cores(rest, m) for _, rest in hooks))
 
+    assert cores(Partition((2, 2, 1)), 4) == {Partition((1,))}
+    assert cores(Partition((5,)), 7) == {Partition((5,))}
+    assert cores(Partition((2, 1)), 3) == {Partition()}
     for n in range(1, 11):
         for lam in partitions(n):
             for m in range(2, n + 1):
-                cores = all_cores(lam, m)
-                assert len(cores) == 1
-                assert m_core(lam, m) == cores.pop()
-                assert m_core(m_core(lam, m), m) == m_core(lam, m)
+                assert len(cores(lam, m)) == 1, (lam, m)
 
 
 # ---------------------------------------------------------------- attachment

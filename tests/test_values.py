@@ -7,7 +7,7 @@ import pytest
 
 from oddchar.errors import DomainError
 from oddchar.glu import GLabel, kappa_q, parabolic_star
-from oddchar.omega import NormalizerLocalLabel, OmegaLabel, galois_act, sharp_glu
+from oddchar.omega import OmegaLabel, galois_act, levi_star, sharp_glu
 from oddchar.partitions import (
     HookPartition,
     Partition,
@@ -57,14 +57,6 @@ CASES = [
         lambda: sharp_glu(_glabel()),
         "OmegaLabel(kappa='+', q=3, blocks=((4, 1, HookPartition(m=4, leg=1)), "
         "(1, 0, HookPartition(m=1, leg=0))))",
-    ),
-    (
-        lambda: NormalizerLocalLabel("+", 3, 1, 0, 0, j=1, k=0),
-        "NormalizerLocalLabel(kappa='+', q=3, m=1, gamma=0, delta=0, j=1, k=0)",
-    ),
-    (
-        lambda: NormalizerLocalLabel("+", 3, 0, 1, 0),
-        "NormalizerLocalLabel(kappa='+', q=3, m=0, gamma=1, delta=0, j=None, k=None)",
     ),
 ]
 IDS = [text.split("(", 1)[0] for _, text in CASES]
@@ -159,7 +151,6 @@ NON_INTEGERS = [
     (_q_as_float, "non-integer q"),
     (lambda: Partition((2.7, 1)), "non-integer parts"),
     (lambda: HookPartition(2.5, 0), "non-integer hook size or leg"),
-    (lambda: NormalizerLocalLabel("+", 5, 0, 0.5, 0), "non-integer gamma"),
     (lambda: galois_act(1.5, _glabel()), "non-integer exponent"),
     (lambda: galois_act("3", _glabel()), "non-integer exponent"),
     (lambda: WreathOddLabel(3.0, 1, ((Partition((3,)), 1),), (Partition((1,)),)), "non-integer k or t"),
@@ -201,7 +192,6 @@ NON_INTEGERS = [
         "kappa-q-float",
         "partition",
         "hook",
-        "normalizer-local",
         "galois-exponent",
         "galois-exponent-str",
         "wreath-k",
@@ -223,6 +213,59 @@ NON_INTEGERS = [
 )
 def test_public_constructors_refuse_non_integers(make, message):
     with pytest.raises(DomainError, match=message):
+        make()
+
+
+# One field per case that is no sequence, or a sequence entry that is no pair, or a
+# JSON object that is no mapping; each used to raise TypeError or ValueError.
+NOT_SEQUENCES = [
+    (lambda: Partition(5), "parts must be a sequence, got int"),
+    (lambda: ThetaLabel(5), "hooks must be a sequence, got int"),
+    (lambda: ThetaLabel.from_json(5), "hooks must be a sequence, got int"),
+    (lambda: SylowLinearLabel(5), "blocks must be a sequence, got int"),
+    (lambda: SylowLinearLabel.from_json(5), "blocks must be a sequence, got int"),
+    (lambda: SylowLinearLabel(((2,),)), "block must have 2 entries, got 1"),
+    (lambda: young_star(Partition((3,)), 5), "blocks must be a sequence, got int"),
+    (lambda: levi_star(_glabel(), 5), "blocks must be a sequence, got int"),
+    (lambda: WreathOddLabel(3, 1, (5,), (Partition((1,)),)), "base entry must be a sequence, got int"),
+    (lambda: WreathOddLabel(3, 1, ((Partition((3,)), 1),), 5), "top must be a sequence, got int"),
+    (lambda: GLabel("+", 3, 5), "pairs must be a sequence, got int"),
+    (lambda: GLabel("+", 3, (5,)), "pair must be a sequence, got int"),
+    (lambda: GLabel("+", 3, ((1, Partition((1,)), 0),)), "pair must have 2 entries, got 3"),
+    (lambda: OmegaLabel("+", 3, 5), "blocks must be a sequence, got int"),
+    (lambda: OmegaLabel("+", 3, (5,)), "block must be a sequence, got int"),
+    (lambda: GLabel.from_json(5), r"label must be a mapping with keys \('kappa', 'q', 'pairs'\), got int"),
+    (lambda: OmegaLabel.from_json(5), r"label must be a mapping with keys \('kappa', 'q', 'blocks'\), got int"),
+    (lambda: HookPartition.from_json(5), r"hook must be a mapping with keys \('m', 'leg'\), got int"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    NOT_SEQUENCES,
+    ids=[
+        "partition",
+        "theta",
+        "theta-json",
+        "sylow",
+        "sylow-json",
+        "sylow-block-width",
+        "young-star-blocks",
+        "levi-star-blocks",
+        "wreath-base-entry",
+        "wreath-top",
+        "glabel-pairs",
+        "glabel-pair",
+        "glabel-pair-width",
+        "omega-blocks",
+        "omega-block",
+        "glabel-json",
+        "omega-json",
+        "hook-json",
+    ],
+)
+def test_public_constructors_refuse_non_sequences(make, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         make()
 
 
