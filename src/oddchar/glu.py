@@ -14,7 +14,7 @@ from itertools import product
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import HookPartition, Partition, Value, _as_ints, _as_tuple, nu2, two_adic
-from .sym import _hook_census, _strip, star_sn
+from .sym import _check_type, _hook_census, _strip, star_sn
 
 __all__ = _HOMES["glu"]
 
@@ -120,6 +120,8 @@ class GLabel(Value):
             raise DomainError(f"residues must lie in [0, {mod})")
         if len(set(residues)) != len(residues):
             raise DomainError("residues must be pairwise distinct")
+        for lam in lams:
+            _check_type(lam, Partition)
         if any(lam.n == 0 for lam in lams):
             raise DomainError("empty partitions are not allowed in labels")
         object.__setattr__(self, "pairs", tuple(sorted(zip(residues, lams), key=_residue)))

@@ -24,7 +24,7 @@ from .partitions import (
     split_by_digit,
     two_adic,
 )
-from .sym import alpha_sn_inverse, ThetaLabel
+from .sym import ThetaLabel, _check_type, alpha_sn_inverse
 from .glu import GLabel, _odd_layout, _trusted_glabel, check_label_count, kappa_q
 
 __all__ = _HOMES["omega"]
@@ -48,6 +48,7 @@ class OmegaLabel(Value):
         for size, s, hook in blocks:
             if not 0 <= s < mod:
                 raise DomainError(f"residue {s} out of range [0, {mod})")
+            _check_type(hook, HookPartition)
             if hook.m != size:
                 raise DomainError(f"hook {hook} does not fill its block of size {size}")
         object.__setattr__(self, "blocks", blocks)

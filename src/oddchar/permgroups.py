@@ -23,8 +23,9 @@ independent of the wreath-tower labelling used by the correspondence modules
 (alpha_sn, hook_to_bits, the Gray code).
 
 The labels meet the group only through its generators. The sharp-oracle
-sweep walks each generator once (sym._tower_parities: per block and tower
-level, the parity of the pairs it reverses) and reads every label's values
+sweep walks each generator once per degree per process (sym._tower_parities:
+per block and tower level, the parity of the pairs it reverses; the walks are
+cached in verify, beside the cached group) and reads every label's values
 off those walks (SylowLinearLabel._signs: -1 to the sum of bit * parity).
 """
 

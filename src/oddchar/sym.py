@@ -87,7 +87,7 @@ def _tower_parities(perm, sizes):
                 raise DomainError("permutation does not preserve the pair tower")
             parities.append(sum(firsts) & 1)  # a pair is reversed when its first entry is odd
             local = [a >> 1 for a in firsts]
-    return len(perm), parities
+    return len(perm), tuple(parities)
 
 
 class SylowLinearLabel(Value):
@@ -96,7 +96,8 @@ class SylowLinearLabel(Value):
     Its value on an element of sylow2_subgroup(n) is -1 to the sum of bit *
     parity over blocks and levels. The parities do not depend on the label:
     _tower_parities finds them in one walk of the element, and _signs reads
-    any label's value off that walk.
+    any label's value off that walk. The sharp-oracle sweep walks the
+    generators once per degree per process and reads every label off them.
     """
 
     __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
@@ -119,11 +120,11 @@ class SylowLinearLabel(Value):
     def _signs(self, walks):
         """The values on the elements that _tower_parities walked to (degree, parities)."""
         bits = [bit for _, bits in self.blocks for bit in bits]
-        want = self.n
+        want = sum([size for size, _ in self.blocks])
         for n, _ in walks:
             if n != want:
                 raise DomainError(f"degree mismatch: {n} vs {want}")
-        return tuple(-1 if sum(map(and_, bits, p)) & 1 else 1 for _, p in walks)
+        return tuple([-1 if sum(map(and_, bits, p)) & 1 else 1 for _, p in walks])
 
     def value(self, perm):
         """Evaluate the labeled linear character on an element of sylow2_subgroup(n).
@@ -227,10 +228,13 @@ def _strip(parts):
     return tuple(steps)
 
 
-def _odd_steps(lam):
-    """The strip of lam; DomainError unless lam is an odd Partition."""
+def _odd_steps(lam, read=_strip):
+    """read(lam.parts), by default the strip; DomainError unless lam is an odd Partition.
+
+    read is _strip or a cache built on it: None exactly on the even parts tuples.
+    """
     _check_type(lam, Partition)
-    steps = _strip(lam.parts)
+    steps = read(lam.parts)
     if steps is None:
         raise DomainError(f"{lam} is not an odd partition")
     return steps
@@ -301,12 +305,22 @@ def bits_to_hook(bits):
     return HookPartition(1 << exponent, leg)
 
 
+@cache
+def _sharp_blocks(parts):
+    """The sharp label's (block size, bits) pairs of a parts tuple, or None for an even one.
+
+    Read straight off the strip: the hook H(m, leg) of each step gives its
+    block's Gray-code bits. Cached beside _strip and shared, so none may change it.
+    """
+    steps = _strip(parts)
+    if steps is None:
+        return None
+    return tuple((m, hook_to_bits(m.bit_length() - 1, leg)) for _, m, leg in steps)
+
+
 def sharp_sn(lam):
     """Linear-character label of the Sylow 2-subgroup attached to an odd partition."""
-    theta = alpha_sn(lam)
-    return SylowLinearLabel._trusted(
-        tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in theta.hooks)
-    )
+    return SylowLinearLabel._trusted(_odd_steps(lam, _sharp_blocks))
 
 
 def sharp_sn_inverse(label):

@@ -8,7 +8,7 @@ every suite except sharp-oracle, whose uniqueness clause is known to fail off
 
 import math
 import os
-from functools import partial
+from functools import cache, partial
 
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
 from .partitions import (
@@ -169,8 +169,7 @@ def _check_sharp(n):
     ces = []
     checks = 0
     group = sylow2_subgroup(n)
-    sizes = [1 << e for e in group.blocks]
-    walks = [_tower_parities(g, sizes) for g in group.generators]  # shared by every label
+    walks = _generator_walks(n)
     for lam in odd_partitions(n):
         checks += 1
         label = sharp_sn(lam)
@@ -185,6 +184,19 @@ def _check_sharp(n):
                 }
             )
     return checks, ces
+
+
+@cache
+def _generator_walks(n):
+    """_tower_parities of each generator of sylow2_subgroup(n), in order.
+
+    Made once per degree per process, beside the cached group, and shared by
+    every label of every pass, so none may change them. Kept here, not on the
+    group: permgroups does not import sym.
+    """
+    group = sylow2_subgroup(n)
+    sizes = [1 << e for e in group.blocks]
+    return tuple(_tower_parities(g, sizes) for g in group.generators)
 
 
 def suite_sharp_oracle(max_n=8, jobs=1):

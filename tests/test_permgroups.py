@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from oddchar import permgroups
+from oddchar import permgroups, sym, verify
 from oddchar.errors import DomainError, EnumerationCapError, TheoremViolationError
 from oddchar.characters import degree, mn_value, odd_partitions
 from oddchar.partitions import Partition, partitions, two_adic
@@ -242,6 +244,27 @@ def test_warm_sharp_oracle_pass_builds_no_group(monkeypatch):
     run_suite("sharp-oracle", max_n=12)
     assert built == []
     assert sylow2_subgroup(12) is sylow2_subgroup(12)
+
+
+def test_warm_sharp_oracle_pass_reads_cached_walks_and_labels(monkeypatch):
+    def report():
+        text = json.dumps(run_suite("sharp-oracle", max_n=12).to_json(), sort_keys=True)
+        return text.encode()
+
+    first = report()
+
+    def refuse(*args):
+        raise AssertionError("a warm pass walked a generator or rebuilt a hook tuple")
+
+    monkeypatch.setattr(verify, "_tower_parities", refuse)
+    monkeypatch.setattr(sym, "alpha_sn", refuse)
+    assert report() == first
+    monkeypatch.undo()
+    for n in range(1, 13):
+        group = sylow2_subgroup(n)
+        sizes = [1 << e for e in group.blocks]
+        fresh = tuple(sym._tower_parities(g, sizes) for g in group.generators)
+        assert verify._generator_walks(n) == fresh, n
 
 
 def double_loop_multiplicities(lam, group):

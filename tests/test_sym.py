@@ -288,6 +288,7 @@ def test_hook_maps_need_no_parity_oracle(monkeypatch):
                 monkeypatch.setattr(module, oracle, refuse)
     sym._hook_census.cache_clear()
     sym._strip.cache_clear()
+    sym._sharp_blocks.cache_clear()
     glu._odd_layout.cache_clear()
     assert [star_sn(lam) for lam in census] == stars
     assert [glu.parabolic_star(label) for label in plus] == parabolic
@@ -329,6 +330,21 @@ def test_hook_bits_roundtrip():
             assert bits_to_hook(bits) == HookPartition(1 << e, leg)
             seen.add(bits)
         assert len(seen) == 1 << e
+
+
+def test_sharp_blocks_are_the_gray_code_of_the_alpha_hooks():
+    # the reference: the Gray code of each alpha_sn hook, through HookPartition fields
+    for n in range(17):
+        for lam in odd_partitions(n):
+            hooks = alpha_sn(lam).hooks
+            gray = tuple((h.m, hook_to_bits(h.m.bit_length() - 1, h.leg)) for h in hooks)
+            assert sharp_sn(lam).blocks == gray, lam
+    assert sharp_sn(Partition()).blocks == ()
+    assert sharp_sn(Partition((1,))).blocks == ((1, ()),)
+    with pytest.raises(DomainError, match=r"^Partition\(2, 2\) is not an odd partition$"):
+        sharp_sn(Partition((2, 2)))
+    with pytest.raises(DomainError, match="^need a Partition, got tuple$"):
+        sharp_sn((3, 1))
 
 
 def test_sharp_examples():

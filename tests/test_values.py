@@ -304,6 +304,21 @@ def test_wreath_label_refuses_a_partition_of_another_class(make, name):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, needed, name",
+    [
+        (lambda: GLabel("+", 3, ((0, (1,)),)), "Partition", "tuple"),
+        (lambda: GLabel("+", 3, ((0, "ab"),)), "Partition", "str"),
+        (lambda: OmegaLabel("+", 3, ((1, 0, (1, 0)),)), "HookPartition", "tuple"),
+        (lambda: OmegaLabel("+", 3, ((1, 0, Partition((1,))),)), "HookPartition", "Partition"),
+    ],
+    ids=["glabel-tuple", "glabel-str", "omega-tuple", "omega-partition"],
+)
+def test_gl_labels_refuse_a_field_of_another_class(make, needed, name):
+    with pytest.raises(DomainError, match=f"^need a {needed}, got {name}$"):
+        make()
+
+
 def test_theta_label_holds_a_tuple_of_hooks():
     hooks = [HookPartition(2, 1), HookPartition(1, 0)]
     theta = ThetaLabel(hooks)
