@@ -51,7 +51,7 @@ from operator import add, itemgetter, lt, sub
 
 from . import _HOMES
 from .errors import DomainError
-from .partitions import Partition, _partition_tuples, _rim_hooks, conjugate_parts
+from .partitions import Partition, _as_ints, _partition_tuples, _rim_hooks, conjugate_parts
 
 __all__ = _HOMES["characters"]
 
@@ -117,6 +117,7 @@ def _odd_census(n):
 
 def odd_partitions(n):
     """Census of odd partitions of n by the degree-parity oracle, in listing order."""
+    (n,) = _as_ints("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     return list(_odd_census(n))

@@ -13,8 +13,8 @@ from itertools import product
 
 from . import _HOMES
 from .errors import DEFAULT_CAP, DomainError, EnumerationCapError, TheoremViolationError
-from .partitions import HookPartition, Partition, Value, _as_ints, _as_tuple, nu2, two_adic
-from .sym import _check_type, _hook_census, _strip, star_sn
+from .partitions import HookPartition, Int, Partition, Row, Seq, Value, _as_ints, nu2, two_adic
+from .sym import _hook_census, _strip, star_sn
 
 __all__ = _HOMES["glu"]
 
@@ -80,7 +80,18 @@ def _prime_base(q):
     return q if _is_prime(q) else None
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
+class _Kappa(Int):
+    """The field shape of kappa: '+' for the linear family, '-' for the unitary."""
+
+    def _read(self, kappa, json=False):
+        if kappa not in ("+", "-"):
+            raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
+        return kappa
+
+
+KAPPA, Q, RESIDUE = _Kappa("kappa"), Int("q"), Int("residues")
+
+
 def kappa_q(kappa, q):
     """The validated data of the family (kappa, q); the one home of its modulus.
 
@@ -88,15 +99,19 @@ def kappa_q(kappa, q):
     an integer power of an odd prime below Q_LIMIT (about 3.3e24), where the
     prime-power test is exact.
     """
-    if kappa not in ("+", "-"):
-        raise DomainError(f"kappa must be '+' or '-', got {kappa!r}")
-    (q,) = _as_ints("q", q)
+    kappa, q = KAPPA._read(kappa), Q._read(q)
     if q >= Q_LIMIT:
         raise DomainError(f"q={q} is too large: prime powers are tested only below {Q_LIMIT}")
-    p = _prime_base(q) if q >= 3 and q % 2 else None
-    if p is None:
+    family = _kappa_q(kappa, q)
+    if family is None:
         raise DomainError(f"q={q} is not an odd prime power")
-    return KappaQ(q - 1 if kappa == "+" else q + 1, p)
+    return family
+
+
+@lru_cache(maxsize=None)  # kappa_q's data past its checks; None unless q is an odd prime power
+def _kappa_q(kappa, q):
+    p = _prime_base(q) if q >= 3 and q % 2 else None
+    return None if p is None else KappaQ(q - 1 if kappa == "+" else q + 1, p)
 
 
 class GLabel(Value):
@@ -107,45 +122,29 @@ class GLabel(Value):
     sorted by (residue) for a canonical hashable form.
     """
 
-    __slots__ = ("kappa", "q", "pairs")  # pairs: (residue, Partition) tuples
+    __slots__ = ("kappa", "q", "pairs")
+    _shapes = (KAPPA, Q, Seq("pairs", Row("pair", ("s", RESIDUE), ("lambda", Partition))))
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
-        pairs = [_as_tuple("pair", pair, 2) for pair in _as_tuple("pairs", self.pairs)]
-        if not pairs:
+        if not self.pairs:
             raise DomainError("a label needs at least one pair")
-        residues, lams = zip(*pairs)
-        residues = _as_ints("residues", *residues)
+        residues = [s for s, _ in self.pairs]
         if any(not 0 <= s < mod for s in residues):
             raise DomainError(f"residues must lie in [0, {mod})")
         if len(set(residues)) != len(residues):
             raise DomainError("residues must be pairwise distinct")
-        for lam in lams:
-            _check_type(lam, Partition)
-        if any(lam.n == 0 for lam in lams):
+        if any(lam.n == 0 for _, lam in self.pairs):
             raise DomainError("empty partitions are not allowed in labels")
-        object.__setattr__(self, "pairs", tuple(sorted(zip(residues, lams), key=_residue)))
+        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=_residue)))
 
     @property
-    def modulus(self):
-        return kappa_q(self.kappa, self.q).modulus
+    def modulus(self):  # the family was checked when the label was built
+        return _kappa_q(self.kappa, self.q).modulus
 
     @property
     def n(self):
         return sum(lam.n for _, lam in self.pairs)
-
-    def to_json(self):
-        return {
-            "kappa": self.kappa,
-            "q": self.q,
-            "pairs": [{"s": s, "lambda": lam.to_json()} for s, lam in self.pairs],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        kappa, q, pairs = _as_tuple("label", data, ("kappa", "q", "pairs"))
-        pairs = [_as_tuple("pair", p, ("s", "lambda")) for p in _as_tuple("pairs", pairs)]
-        return cls(kappa, q, tuple((s, Partition.from_json(lam)) for s, lam in pairs))
 
 
 def _residue(pair):
@@ -161,12 +160,7 @@ class ParabolicCorrespondent(Value):
     """Output of the maximal-parabolic restriction: a line pair plus a rank n-1 label."""
 
     __slots__ = ("line", "rest")  # line: (residue, Partition((1,))); rest: a GLabel
-
-    def to_json(self):
-        return {
-            "line": {"s": self.line[0], "lambda": self.line[1].to_json()},
-            "rest": self.rest.to_json(),
-        }
+    _shapes = (Row("line", ("s", RESIDUE), ("lambda", Partition)), GLabel)
 
 
 def is_odd_label(label):
@@ -231,6 +225,7 @@ def odd_label_count(n, q, kappa):
     modulus^r * 2^(sum e) over the r binary digits 2^e of n: a residue per digit
     and an odd partition per residue. The normalizer coordinates number the same.
     """
+    (n,) = _as_ints("n", n)
     if n < 1:
         raise DomainError("n must be positive")
     exps = two_adic(n)
@@ -242,6 +237,7 @@ def real_label_count(n, q, kappa):
 
     2^(sum e + r) over the r binary digits 2^e of n, for every valid (kappa, q).
     """
+    (n,) = _as_ints("n", n)
     if n < 1:
         raise DomainError("n must be positive")
     kappa_q(kappa, q)  # validates the family; the count does not depend on it

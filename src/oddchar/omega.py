@@ -10,12 +10,14 @@ a finite check.
 
 import math
 from itertools import product
-from operator import index
 
 from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
+    Int,
+    Row,
+    Seq,
     Value,
     _as_ints,
     _as_tuple,
@@ -24,8 +26,8 @@ from .partitions import (
     split_by_digit,
     two_adic,
 )
-from .sym import ThetaLabel, _check_type, alpha_sn_inverse
-from .glu import GLabel, _odd_layout, _trusted_glabel, check_label_count, kappa_q
+from .sym import ThetaLabel, alpha_sn_inverse
+from .glu import KAPPA, Q, GLabel, _kappa_q, _odd_layout, _trusted_glabel, check_label_count, kappa_q
 
 __all__ = _HOMES["omega"]
 
@@ -33,49 +35,28 @@ __all__ = _HOMES["omega"]
 class OmegaLabel(Value):
     """Per 2-adic block of n (decreasing size): a residue and a hook of that size."""
 
-    __slots__ = ("kappa", "q", "blocks")  # blocks: (size, residue, HookPartition) tuples
+    __slots__ = ("kappa", "q", "blocks")
+    _block = Row("block", ("size", Int("block sizes")), ("s", Int("residues")), ("hook", HookPartition))
+    _shapes = (KAPPA, Q, Seq("blocks", _block))
 
     def _validate(self):
         mod = kappa_q(self.kappa, self.q).modulus
-        blocks = [_as_tuple("block", block, 3) for block in _as_tuple("blocks", self.blocks)]
-        if not blocks:
+        if not self.blocks:
             raise DomainError("a label needs at least one block")
-        sizes, residues, hooks = zip(*blocks)
-        sizes = _as_ints("block sizes", *sizes)
-        residues = _as_ints("residues", *residues)
-        check_two_adic_layout(sizes)
-        blocks = tuple(zip(sizes, residues, hooks))
-        for size, s, hook in blocks:
+        check_two_adic_layout(tuple([size for size, _, _ in self.blocks]))
+        for size, s, hook in self.blocks:
             if not 0 <= s < mod:
                 raise DomainError(f"residue {s} out of range [0, {mod})")
-            _check_type(hook, HookPartition)
             if hook.m != size:
                 raise DomainError(f"hook {hook} does not fill its block of size {size}")
-        object.__setattr__(self, "blocks", blocks)
 
     @property
-    def modulus(self):
-        return kappa_q(self.kappa, self.q).modulus
+    def modulus(self):  # the family was checked when the label was built
+        return _kappa_q(self.kappa, self.q).modulus
 
     @property
     def n(self):
         return sum(size for size, _, _ in self.blocks)
-
-    def to_json(self):
-        return {
-            "kappa": self.kappa,
-            "q": self.q,
-            "blocks": [
-                {"size": size, "s": s, "hook": hook.to_json()}
-                for size, s, hook in self.blocks
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        kappa, q, blocks = _as_tuple("label", data, ("kappa", "q", "blocks"))
-        blocks = [_as_tuple("block", b, ("size", "s", "hook")) for b in _as_tuple("blocks", blocks)]
-        return cls(kappa, q, tuple((size, s, HookPartition.from_json(h)) for size, s, h in blocks))
 
 
 def sharp_glu(label):
@@ -136,7 +117,7 @@ def _family(x):
     """The kappa_q data of a label the actions move; DomainError for anything else."""
     if not isinstance(x, (GLabel, OmegaLabel)):
         raise DomainError(f"cannot act on {type(x).__name__}")
-    return kappa_q(x.kappa, x.q)
+    return _kappa_q(x.kappa, x.q)  # checked when x was built
 
 
 def _act_on_residue(e, mod, x):
@@ -157,12 +138,9 @@ def _act_on_residue(e, mod, x):
 def galois_act(i, x):
     """Raise every residue to the i-th power; partitions and hooks are fixed."""
     mod = _family(x).modulus
-    try:
-        i = index(i)  # an integer type that is no int must not reach _act_on_residue
-        unit = math.gcd(i, mod) == 1
-    except TypeError:  # a float or str; the try costs nothing when index succeeds
-        raise DomainError(f"non-integer exponent {i!r}") from None
-    if not unit:
+    if i.__class__ is not int:  # plain ints, the common case, skip the call
+        (i,) = _as_ints("exponent", i)
+    if math.gcd(i, mod) != 1:
         raise DomainError(f"exponent {i} is not coprime to {mod}")
     return _act_on_residue(i, mod, x)
 

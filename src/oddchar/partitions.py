@@ -6,6 +6,7 @@ functions are pure and safe to call from parallel sweeps.
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cache, reduce
 from operator import index, or_
 
@@ -18,10 +19,14 @@ __all__ = _HOMES["partitions"]
 class Value:
     """Base of the immutable values: partitions, hooks and labels.
 
-    A subclass names its fields in __slots__, in positional order, and checks
-    them in _validate. An instance equals only instances of its own class,
-    hashes its field tuple, prints as Name(field=value, ...) and pickles and
-    copies through _trusted.
+    A subclass names its fields in __slots__, in positional order, and their
+    shapes in _shapes, in the same order: an Int, a Seq, a Row, a Value class
+    or glu.KAPPA. A shape's _read takes a constructor argument, or a JSON value
+    with json=True, and its _write(expr) is the source that writes the field at
+    expr as JSON, so the constructor, from_json and to_json share it;
+    _validate makes the checks that span fields. An instance equals only
+    instances of its own class, hashes its field tuple, prints as
+    Name(field=value, ...) and pickles and copies through _trusted.
 
     The internal classmethod _trusted(cls, *fields) builds an instance
     unchecked, for builders whose output is valid by construction; a wrong
@@ -30,23 +35,25 @@ class Value:
     """
 
     __slots__ = ()
+    _shapes = ()  # a class that declares none builds only through _trusted
+    _what = "label"  # what a refusal calls the JSON object of several fields
 
     def __init_subclass__(cls):
         fields = cls.__slots__
-        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        # _trusted, __eq__ and __hash__ are compiled per class in one exec: a
-        # generic loop over the setters or getattr took about twice as long.
+        # _trusted, __init__, __eq__, __hash__ and to_json are compiled per class in one exec: a
+        # generic loop over the setters or getattr took about twice as long, and a
+        # generic walk of the shapes five to eight times as long as the compiled JSON.
         scope = {"new": object.__new__}
-        scope.update((f"set_{name}", setter) for name, setter in zip(fields, cls._setters))
+        scope.update((f"set_{name}", getattr(cls, name).__set__) for name in fields)
         source = (
             f"def _trusted(cls, {', '.join(fields)}):\n"
             "    self = new(cls)\n"
             + "".join(f"    set_{name}(self, {name})\n" for name in fields)
             + "    return self\n"
         )
+        mine = "".join(f"self.{name}, " for name in fields)
         own_equality = "__eq__" in cls.__dict__  # Partition compares its parts alone
         if not own_equality:
-            mine = "".join(f"self.{name}, " for name in fields)
             theirs = mine.replace("self.", "other.")
             source += (
                 "def __eq__(self, other):\n"
@@ -54,17 +61,36 @@ class Value:
                 f"    return ({mine}) == ({theirs})\n"
                 f"def __hash__(self): return hash(({mine}))\n"
             )
+        if cls._shapes:  # one field's JSON is its own; several make an object by field name
+            one = len(fields) == 1
+            cls._json = cls._shapes[0] if one else Row(cls._what, *zip(fields, cls._shapes))
+            write = cls._json._write("f[0]" if one else "f")
+            scope.update((f"read_{name}", shape._read) for name, shape in zip(fields, cls._shapes))
+            source += (
+                f"def __init__(self, {', '.join(fields)}):\n"
+                + "".join(f"    set_{name}(self, read_{name}({name}))\n" for name in fields)
+                + f"    self._validate()\ndef to_json(self):\n    f = {mine}\n    return {write}\n"
+            )
         exec(source, scope)
         cls._trusted = classmethod(scope["_trusted"])
-        if not own_equality:
-            cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+        for name in scope.keys() & {"__init__", "__eq__", "__hash__", "to_json"}:
+            setattr(cls, name, scope[name])
 
-    def __init__(self, *values):
-        if len(values) != len(self._setters):
-            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} values")
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+    @classmethod
+    def from_json(cls, data):
+        fields = cls._json._read(data, True)
+        self = cls._trusted(fields) if len(cls._shapes) == 1 else cls._trusted(*fields)
         self._validate()
+        return self
+
+    @classmethod
+    def _read(cls, value, json=False):
+        """A field of this class: value itself, or the value of its JSON."""
+        return cls.from_json(value) if json else _check_type(value, cls)
+
+    @classmethod
+    def _write(cls, expr):
+        return f"{expr}.to_json()"
 
     def _validate(self):
         pass
@@ -105,6 +131,49 @@ def _as_tuple(what, value, shape=None):
     if shape.__class__ is int and len(items) != shape:
         raise DomainError(f"{what} must have {shape} entries, got {len(items)}")
     return items
+
+
+def _check_type(value, cls):
+    """value, or DomainError naming its type unless it is a cls."""
+    if not isinstance(value, cls):
+        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+class Int(namedtuple("Int", "what")):
+    """An int, read through operator.index; what names the field in a refusal."""
+
+    def _read(self, value, json=False):
+        return value if value.__class__ is int else _as_ints(self.what, value)[0]
+
+    def _write(self, expr):
+        return expr
+
+
+class Seq(namedtuple("Seq", "what item")):
+    """A tuple of any length whose entries share one shape; its JSON is a list."""
+
+    def _read(self, value, json=False):
+        return tuple([self.item._read(entry, json) for entry in _as_tuple(self.what, value)])
+
+    def _write(self, expr):
+        item = self.item._write("x")  # an inner x shadows the outer one
+        return f"list({expr})" if item == "x" else f"[{item} for x in {expr}]"
+
+
+class Row(namedtuple("Row", "what keys shapes")):
+    """A fixed-width tuple of (JSON key, shape) columns; its JSON is an object by key."""
+
+    def __new__(cls, what, *columns):
+        return super().__new__(cls, what, *zip(*columns))
+
+    def _read(self, value, json=False):
+        entries = _as_tuple(self.what, value, self.keys if json else len(self.keys))
+        return tuple([shape._read(entry, json) for shape, entry in zip(self.shapes, entries)])
+
+    def _write(self, expr):
+        items = [f"{k!r}: {self.shapes[i]._write(f'{expr}[{i}]')}" for i, k in enumerate(self.keys)]
+        return "{" + ", ".join(items) + "}"
 
 
 class Partition(Value):
@@ -180,15 +249,12 @@ class HookPartition(Value):
     """The hook (m - leg, 1^leg), encoded by total size and leg length."""
 
     __slots__ = ("m", "leg")
+    _shapes = (Int("hook size or leg"), Int("hook size or leg"))
+    _what = "hook"
 
     def _validate(self):
-        m, leg = self.m, self.leg
-        if m.__class__ is not int or leg.__class__ is not int:  # plain ints, the common case, skip the call
-            m, leg = _as_ints("hook size or leg", m, leg)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "leg", leg)
-        if m < 1 or not (0 <= leg <= m - 1):
-            raise DomainError(f"need 0 <= leg <= m-1, got m={m}, leg={leg}")
+        if self.m < 1 or not (0 <= self.leg <= self.m - 1):
+            raise DomainError(f"need 0 <= leg <= m-1, got m={self.m}, leg={self.leg}")
 
     @property
     def arm_count(self):
@@ -203,13 +269,6 @@ class HookPartition(Value):
         if p.n == 0 or not p.is_hook():
             raise DomainError(f"{p} is not a nonempty hook")
         return cls(p.n, len(p.parts) - 1)
-
-    def to_json(self):
-        return {"m": self.m, "leg": self.leg}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(*_as_tuple("hook", data, ("m", "leg")))
 
 
 def two_adic(n):
@@ -396,6 +455,7 @@ def check_partition_count(n):
 
 def partitions(n):
     """All partitions of n in reverse lexicographic order."""
+    (n,) = _as_ints("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     make = Partition._trusted  # bound once: the list holds every partition of n

@@ -22,11 +22,15 @@ from . import _HOMES
 from .errors import DomainError, TheoremViolationError
 from .partitions import (
     HookPartition,
+    Int,
     Partition,
+    Row,
+    Seq,
     Value,
     _as_ints,
     _as_tuple,
     _attach_parts,
+    _check_type,
     check_two_adic_layout,
     odd_multinomial_order,
     split_by_digit,
@@ -40,30 +44,14 @@ class ThetaLabel(Value):
     """One hook per 2-adic block of n, blocks in decreasing size."""
 
     __slots__ = ("hooks",)
+    _shapes = (Seq("hooks", HookPartition),)
 
     def _validate(self):
-        hooks = _as_tuple("hooks", self.hooks)
-        for hook in hooks:
-            _check_type(hook, HookPartition)
-        check_two_adic_layout(tuple(h.m for h in hooks))
-        object.__setattr__(self, "hooks", hooks)
+        check_two_adic_layout(tuple([h.m for h in self.hooks]))
 
     @property
     def n(self):
         return sum(h.m for h in self.hooks)
-
-    def to_json(self):
-        return [h.to_json() for h in self.hooks]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(HookPartition.from_json(h) for h in _as_tuple("hooks", data)))
-
-
-def _check_type(value, cls):
-    """DomainError naming value's type unless it is a cls."""
-    if not isinstance(value, cls):
-        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
 
 
 def _tower_parities(perm, sizes):
@@ -100,18 +88,15 @@ class SylowLinearLabel(Value):
     generators once per degree per process and reads every label off them.
     """
 
-    __slots__ = ("blocks",)  # blocks: (block size, bits tuple) pairs
+    __slots__ = ("blocks",)
+    _block = Row("block", ("size", Int("block sizes")), ("bits", Seq("bits", Int("bits"))))
+    _shapes = (Seq("blocks", _block),)
 
     def _validate(self):
-        blocks = [_as_tuple("block", block, 2) for block in _as_tuple("blocks", self.blocks)]
-        sizes = _as_ints("block sizes", *(size for size, _ in blocks))
-        check_two_adic_layout(sizes)
-        bits = [_as_ints("bits", *_as_tuple("bits", b)) for _, b in blocks]
-        blocks = tuple(zip(sizes, bits))
-        for size, bits in blocks:
+        check_two_adic_layout(tuple([size for size, _ in self.blocks]))
+        for size, bits in self.blocks:
             if len(bits) != size.bit_length() - 1 or any(b not in (0, 1) for b in bits):
                 raise DomainError(f"bad bit vector {bits} for block size {size}")
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self):
@@ -136,14 +121,6 @@ class SylowLinearLabel(Value):
             walk = _tower_parities(perm, [size for size, _ in self.blocks])
         return self._signs([walk])[0]
 
-    def to_json(self):
-        return [{"size": size, "bits": list(bits)} for size, bits in self.blocks]
-
-    @classmethod
-    def from_json(cls, data):
-        blocks = _as_tuple("blocks", data)
-        return cls(tuple(_as_tuple("block", b, ("size", "bits")) for b in blocks))
-
 
 class WreathOddLabel(Value):
     """Odd-degree label of a wreath product S_k wr S_t of odd index.
@@ -154,41 +131,25 @@ class WreathOddLabel(Value):
     """
 
     __slots__ = ("k", "t", "base", "top")
+    _entry = Row("base entry", ("psi", Partition), ("t", Int("multiplicities")))
+    _shapes = (Int("k or t"), Int("k or t"), Seq("base", _entry), Seq("top", Partition))
 
     def _validate(self):
-        k, t = _as_ints("k or t", self.k, self.t)
-        base = [_as_tuple("base entry", entry, 2) for entry in _as_tuple("base", self.base)]
-        top = _as_tuple("top", self.top)
-        ts = list(_as_ints("multiplicities", *[t_i for _, t_i in base]))
-        if sum(ts) != t:
+        base, top = self.base, self.top
+        if not base:
+            raise DomainError("a label needs at least one base entry")
+        ts = [t_i for _, t_i in base]
+        if sum(ts) != self.t:
             raise DomainError("multiplicities must sum to t")
         if odd_multinomial_order(ts) != ts:  # they carry, or are out of order
             raise DomainError("multiplicities must add without carry, by increasing 2-part")
-        psis = [psi for psi, _ in base]
-        for lam in (*psis, *top):
-            _check_type(lam, Partition)
-        if len(set(psis)) != len(psis):
+        if len({psi for psi, _ in base}) != len(base):
             raise DomainError("base partitions must be pairwise distinct")
-        for psi in psis:
-            if psi.n != k or _strip(psi.parts) is None:
-                raise DomainError(f"{psi} is not an odd partition of {k}")
         if len(top) != len(base):
             raise DomainError("need one top partition per base entry")
-        for alpha, t_i in zip(top, ts):
-            if alpha.n != t_i or _strip(alpha.parts) is None:
-                raise DomainError(f"{alpha} is not an odd partition of {t_i}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "base", tuple(zip(psis, ts)))
-        object.__setattr__(self, "top", top)
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "t": self.t,
-            "base": [{"psi": psi.to_json(), "t": t} for psi, t in self.base],
-            "top": [alpha.to_json() for alpha in self.top],
-        }
+        for lam, size in [*((psi, self.k) for psi, _ in base), *zip(top, ts)]:
+            if lam.n != size or _strip(lam.parts) is None:
+                raise DomainError(f"{lam} is not an odd partition of {size}")
 
 
 @cache
@@ -333,6 +294,7 @@ def sharp_sn_inverse(label):
 
 def count_odd_irr_sn(n):
     """Closed-form count 2**(n_1 + ... + n_r) of odd partitions of n."""
+    (n,) = _as_ints("n", n)
     if n < 1:
         raise DomainError("n must be positive")
     return 1 << sum(two_adic(n))

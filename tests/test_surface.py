@@ -9,9 +9,11 @@ never too little.
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import oddchar
+from oddchar.partitions import Partition, Value
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddchar"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -99,3 +101,38 @@ def test_the_oracles_import_only_the_substrate():
     # `from . import _HOMES`, each module's __all__ row, names no module and is not counted
     assert _imported_modules("characters") <= {"errors", "partitions"}
     assert _imported_modules("permgroups") <= {"errors", "partitions", "characters"}
+
+
+def _value_classes():
+    for module in MODULES:
+        import_module(f"oddchar.{module}")
+    stack = [Value]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("oddchar."):
+                yield cls
+
+
+def test_every_value_class_declares_its_fields():
+    classes = list(_value_classes())
+    in_source = {
+        node.name
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Value" for base in node.bases)
+    }
+    assert {cls.__name__ for cls in classes} == in_source and len(classes) == len(in_source)
+    written = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in in_source
+    }
+    for cls in classes:
+        if cls is Partition:  # n is derived from parts, and equality reads parts alone
+            continue
+        assert len(vars(cls).get("_shapes", ())) == len(cls.__slots__), cls
+        # read and written through the declaration, never by hand
+        assert written[cls.__name__] & {"__init__", "from_json", "to_json"} == set(), cls
+    assert "_check_type" in DEFS["partitions"]

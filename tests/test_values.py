@@ -1,20 +1,40 @@
 """Value semantics shared by partitions, hooks and labels (partitions.Value)."""
 
 import copy
+import json
 import pickle
 
 import pytest
 
+from oddchar.characters import odd_partitions
 from oddchar.errors import DomainError
-from oddchar.glu import GLabel, kappa_q, parabolic_star
-from oddchar.omega import OmegaLabel, galois_act, levi_star, sharp_glu
+from oddchar.glu import (
+    GLabel,
+    enumerate_odd_labels,
+    kappa_q,
+    odd_label_count,
+    parabolic_star,
+    real_label_count,
+)
+from oddchar.omega import (
+    OmegaLabel,
+    count_real_odd,
+    enumerate_omega_labels,
+    galois_act,
+    levi_star,
+    sharp_glu,
+)
 from oddchar.partitions import (
     HookPartition,
+    Int,
     Partition,
+    Row,
+    Seq,
     Value,
     binom_is_odd,
     nu2,
     odd_multinomial_order,
+    partitions,
     two_adic,
 )
 from oddchar.permgroups import sylow2_subgroup
@@ -24,10 +44,13 @@ from oddchar.sym import (
     WreathOddLabel,
     alpha_sn,
     alpha_sn_inverse,
+    count_odd_irr_sn,
     sharp_sn,
     sharp_sn_inverse,
     star_sn,
     theorem_d_star,
+    wreath_index_is_odd,
+    wreath_odd_labels,
     young_star,
 )
 
@@ -179,6 +202,13 @@ NON_INTEGERS = [
     (lambda: SylowLinearLabel(((2, (1,)),)).value("ab"), "non-integer permutation entries"),
     (lambda: sylow2_subgroup(8.0), "non-integer n"),
     (lambda: sylow2_subgroup("3"), "non-integer n"),
+    # n is read as an integer before it is compared
+    (lambda: partitions("3"), "non-integer n"),
+    (lambda: partitions(3.0), "non-integer n"),
+    (lambda: odd_partitions(3.0), "non-integer n"),
+    (lambda: count_odd_irr_sn(3.0), "non-integer n"),
+    (lambda: odd_label_count("3", 3, "+"), "non-integer n"),
+    (lambda: real_label_count(3.0, 3, "+"), "non-integer n"),
 ]
 
 
@@ -209,6 +239,12 @@ NON_INTEGERS = [
         "sylow-value-str",
         "sylow-subgroup-float",
         "sylow-subgroup-str",
+        "partitions-str",
+        "partitions-float",
+        "odd-partitions-float",
+        "count-odd-irr-sn-float",
+        "odd-label-count-str",
+        "real-label-count-float",
     ],
 )
 def test_public_constructors_refuse_non_integers(make, message):
@@ -386,3 +422,165 @@ def test_trusted_checks_the_number_of_fields(make, text):
     with pytest.raises(TypeError):
         type(value)._trusted(*fields, None)
 
+
+_PAIR = ((0, Partition((1,))),)
+
+
+# A kappa or q that does not hash must be refused before kappa_q's cache sees it.
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kappa_q(["+"], 3),
+        lambda: kappa_q("+", [3]),
+        lambda: odd_label_count(3, 3, ["+"]),
+        lambda: odd_label_count(3, [3], "+"),
+        lambda: real_label_count(3, 3, {}),
+        lambda: enumerate_odd_labels(2, [3], "+"),
+        lambda: count_real_odd(2, 3, ["-"]),
+        lambda: GLabel(["+"], 3, _PAIR),
+        lambda: GLabel("+", [3], _PAIR),
+        lambda: OmegaLabel(["+"], 3, ((1, 0, HookPartition(1, 0)),)),
+        lambda: GLabel.from_json({"kappa": ["+"], "q": 3, "pairs": [{"s": 0, "lambda": [1]}]}),
+    ],
+    ids=[
+        "kappa-q-kappa",
+        "kappa-q-q",
+        "odd-label-count-kappa",
+        "odd-label-count-q",
+        "real-label-count-kappa",
+        "enumerate-odd-labels-q",
+        "count-real-odd-kappa",
+        "glabel-kappa",
+        "glabel-q",
+        "omega-kappa",
+        "glabel-json-kappa",
+    ],
+)
+def test_an_unhashable_kappa_or_q_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="^(kappa must be|non-integer q)"):
+        make()
+
+
+def test_wreath_label_refuses_an_empty_base():
+    with pytest.raises(DomainError, match="^a label needs at least one base entry$"):
+        WreathOddLabel(3, 0, (), ())
+
+
+# ----------------------------------------------- tests driven by the declarations
+
+DECLARED = [(make, text) for make, text in CASES if not text.startswith("Partition(")]
+
+
+def _positions(shape, value, path):
+    """(path, shape) of value and of every position inside it that the shape declares."""
+    yield path, shape
+    if isinstance(shape, Seq):
+        yield from _positions(shape.item, value[0], path + (0,))
+    elif isinstance(shape, Row):
+        for i, (column, entry) in enumerate(zip(shape.shapes, value)):
+            yield from _positions(column, entry, path + (i,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    return value[:i] + (_replace(value[i], rest, new),) + value[i + 1 :]
+
+
+def _json_positions(shape, data, path):
+    """As _positions, over the JSON of a field: a list per Seq, an object per Row."""
+    yield path, shape
+    if isinstance(shape, Seq):
+        yield from _json_positions(shape.item, data[0], path + (0,))
+    elif isinstance(shape, Row):
+        for key, column in zip(shape.keys, shape.shapes):
+            yield from _json_positions(column, data[key], path + (key,))
+
+
+def _json_replace(data, path, new):
+    if not path:
+        return new
+    data = copy.deepcopy(data)
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = new
+    return data
+
+
+def _wrong_inputs(shape, json_form=False):
+    """An int, a float, a str, None, a tuple where a value is due and a value of another class.
+
+    In JSON a value of another class is that value's JSON; the tuple is left out.
+    """
+    other = Partition((1,)) if shape is HookPartition else HookPartition(1, 0)
+    wrong = [1.5, "ab", None]
+    if type(shape) is not Int:
+        wrong.append(7)
+    if json_form:
+        return wrong + [other.to_json()] if isinstance(shape, type) else wrong
+    return wrong + ([(1,)] if isinstance(shape, type) else []) + [other]
+
+
+@pytest.mark.parametrize("make, text", DECLARED, ids=[text.split("(", 1)[0] for _, text in DECLARED])
+def test_every_declared_position_refuses_a_wrong_class(make, text):
+    value = make()
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in cls.__slots__)
+    assert cls(*fields) == value
+    tried = set()
+    for i, shape in enumerate(cls._shapes):
+        for path, inner in _positions(shape, fields[i], (i,)):
+            tried.add(path[0])
+            for wrong in _wrong_inputs(inner):
+                with pytest.raises(DomainError):
+                    cls(*_replace(fields, path, wrong))
+    assert tried == set(range(len(cls.__slots__)))
+    # the same positions in the JSON: one field is its own JSON, several an object by name
+    data = value.to_json()
+    assert cls.from_json(data) == value
+    for path, inner in _json_positions(cls._json, data, ()):
+        for wrong in _wrong_inputs(inner, json_form=True):
+            with pytest.raises(DomainError):
+                cls.from_json(_json_replace(data, path, wrong))
+
+
+def _round_trip_values():
+    labels = [
+        label
+        for n in range(1, 5)
+        for q in (3, 5)
+        for kappa in "+-"
+        for label in enumerate_odd_labels(n, q, kappa)
+    ]
+    lams = [lam for n in range(1, 13) for lam in odd_partitions(n)]
+    wreaths = [(k, t) for k in range(1, 5) for t in range(1, 5) if wreath_index_is_odd(k, t)]
+    return {
+        "glabel": labels,
+        "omega": [
+            omega
+            for n in range(1, 5)
+            for q in (3, 5)
+            for kappa in "+-"
+            for omega in enumerate_omega_labels(n, q, kappa)
+        ],
+        "parabolic": [parabolic_star(label) for label in labels if label.kappa == "+" and label.n >= 2],
+        "theta": [alpha_sn(lam) for lam in lams],
+        "hook": [hook for lam in lams for hook in alpha_sn(lam).hooks],
+        "sylow": [sharp_sn(lam) for lam in lams],
+        "wreath": [label for k, t in wreaths for label in wreath_odd_labels(k, t)],
+    }
+
+
+ROUND_TRIPS = _round_trip_values()
+
+
+@pytest.mark.parametrize("source", list(ROUND_TRIPS))
+def test_json_text_round_trip(source):
+    values = ROUND_TRIPS[source]
+    assert len(values) >= 20 and len({type(value) for value in values}) == 1
+    for value in values:
+        text = json.dumps(value.to_json())
+        back = type(value).from_json(json.loads(text))
+        assert back == value and json.dumps(back.to_json()) == text
